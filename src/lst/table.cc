@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <cstddef>
 
 #include "fault/fault_injector.h"
 
@@ -43,6 +43,29 @@ Result<ScanPlan> Table::PlanScan(
   return plan;
 }
 
+namespace {
+
+// Expiry derives orphans from lineage, which needs the snapshot list to be
+// one parent-linked chain. Every commit path builds that shape; a
+// hand-edited or corrupt history is refused before a file is named for
+// deletion.
+Status CheckParentChain(const TableMetadata& meta) {
+  const auto& snapshots = meta.snapshots();
+  for (size_t i = 1; i < snapshots.size(); ++i) {
+    if (snapshots[i].parent_snapshot_id != snapshots[i - 1].snapshot_id) {
+      return Status::FailedPrecondition(
+          "cannot expire " + meta.name() + ": snapshot " +
+          std::to_string(snapshots[i].snapshot_id) + " has parent " +
+          std::to_string(snapshots[i].parent_snapshot_id) +
+          ", not its predecessor " +
+          std::to_string(snapshots[i - 1].snapshot_id));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<ExpireResult> ExpireSnapshots(MetadataStore* store,
                                      const std::string& table_name,
                                      const Clock* clock, SimTime older_than,
@@ -54,45 +77,56 @@ Result<ExpireResult> ExpireSnapshots(MetadataStore* store,
                               store->LoadTable(table_name));
     const auto& snapshots = meta->snapshots();
     if (snapshots.empty()) {
-      return ExpireResult{meta, {}, 0};
+      return ExpireResult{meta, {}, 0, 0};
     }
 
+    // Retention keeps the lineage tail, the current snapshot, and every
+    // snapshot at or after `older_than`. With no rollback, timestamps
+    // never decrease and the current snapshot is the tail, so the
+    // retained snapshots are a suffix [first_retained, n).
+    const size_t n = snapshots.size();
     const size_t keep_tail =
-        std::min(snapshots.size(), static_cast<size_t>(std::max(1, keep_last)));
-    std::vector<Snapshot> retained;
-    std::vector<const Snapshot*> expired;
-    for (size_t i = 0; i < snapshots.size(); ++i) {
+        std::min(n, static_cast<size_t>(std::max(1, keep_last)));
+    auto is_retained = [&](size_t i) {
       const Snapshot& s = snapshots[i];
-      const bool in_tail = i + keep_tail >= snapshots.size();
-      const bool is_current = s.snapshot_id == meta->current_snapshot_id();
-      if (in_tail || is_current || s.timestamp >= older_than) {
-        retained.push_back(s);
-      } else {
-        expired.push_back(&s);
+      return i + keep_tail >= n ||
+             s.snapshot_id == meta->current_snapshot_id() ||
+             s.timestamp >= older_than;
+    };
+    size_t first_retained = 0;
+    while (!is_retained(first_retained)) ++first_retained;
+    for (size_t i = first_retained + 1; i < n; ++i) {
+      if (!is_retained(i)) {
+        return Status::FailedPrecondition(
+            "cannot expire " + table_name + ": snapshot " +
+            std::to_string(snapshots[i].snapshot_id) +
+            " would expire after a retained snapshot");
       }
     }
-    if (expired.empty()) {
-      return ExpireResult{meta, {}, 0};
+    if (first_retained == 0) {
+      return ExpireResult{meta, {}, 0, 0};
     }
+    AUTOCOMP_RETURN_NOT_OK(CheckParentChain(*meta));
 
-    // Live paths across all retained snapshots stay on disk.
-    std::set<std::string> referenced;
-    for (const Snapshot& s : retained) {
-      for (const ManifestPtr& m : s.manifests) {
-        for (const DataFile& f : m->files()) referenced.insert(f.path);
-      }
+    // A path in snapshot k's removed_paths was live up to snapshot k-1 and
+    // in no later snapshot, so it is orphaned exactly when k-1 expires:
+    // the orphans are the removals of snapshots 1..first_retained. Cost
+    // is O(removed paths); no live manifest is walked.
+    std::vector<std::string> orphaned;
+    for (size_t k = 1; k <= first_retained; ++k) {
+      const auto& removed = snapshots[k].removed_paths;
+      if (removed == nullptr) continue;
+      orphaned.insert(orphaned.end(), removed->begin(), removed->end());
     }
-    std::set<std::string> orphaned;
-    for (const Snapshot* s : expired) {
-      for (const ManifestPtr& m : s->manifests) {
-        for (const DataFile& f : m->files()) {
-          if (referenced.count(f.path) == 0) orphaned.insert(f.path);
-        }
-      }
-    }
+    const auto paths_examined = static_cast<int64_t>(orphaned.size());
+    std::sort(orphaned.begin(), orphaned.end());
+    orphaned.erase(std::unique(orphaned.begin(), orphaned.end()),
+                   orphaned.end());
 
     TableMetadata::Builder builder(*meta);
-    builder.SetSnapshots(std::move(retained));
+    builder.SetSnapshots(std::vector<Snapshot>(
+        snapshots.begin() + static_cast<std::ptrdiff_t>(first_retained),
+        snapshots.end()));
     builder.SetLastUpdatedAt(clock->Now());
     AUTOCOMP_ASSIGN_OR_RETURN(TableMetadataPtr next, builder.Build());
     // Injected commit faults on the maintenance path: a CAS race means a
@@ -119,8 +153,9 @@ Result<ExpireResult> ExpireSnapshots(MetadataStore* store,
     if (cas.ok()) {
       ExpireResult result;
       result.metadata = next;
-      result.orphaned_paths.assign(orphaned.begin(), orphaned.end());
-      result.expired_snapshots = static_cast<int64_t>(expired.size());
+      result.orphaned_paths = std::move(orphaned);
+      result.expired_snapshots = static_cast<int64_t>(first_retained);
+      result.paths_examined = paths_examined;
       return result;
     }
     if (!cas.IsCommitConflict() || attempt >= kMaxCasRetries) return cas;

@@ -60,14 +60,25 @@ struct ExpireResult {
   /// Files no longer referenced by any retained snapshot; the caller
   /// deletes them from storage (the sim's equivalent of Iceberg's
   /// expire_snapshots + orphan cleanup, which OpenHouse runs as a data
-  /// service).
+  /// service). Sorted, without duplicates.
   std::vector<std::string> orphaned_paths;
   int64_t expired_snapshots = 0;
+  /// Removed-path entries the orphan computation read on the committed
+  /// attempt: the sizes of `removed_paths` of every snapshot whose
+  /// predecessor expired. Deterministic; live files are never walked.
+  int64_t paths_examined = 0;
 };
 
 /// \brief Removes snapshots older than `older_than`, always retaining the
 /// current snapshot and the most recent `keep_last` snapshots. Commits the
 /// trimmed metadata with CAS retries.
+///
+/// Orphans come from lineage, in O(removed paths): a path removed by
+/// snapshot k is orphaned when snapshot k-1 expires. That needs the
+/// snapshot list to be a parent-linked chain whose retained snapshots
+/// form a suffix (true of every history commits build: timestamps never
+/// decrease and there is no rollback). Otherwise returns
+/// FailedPrecondition and commits nothing.
 Result<ExpireResult> ExpireSnapshots(MetadataStore* store,
                                      const std::string& table_name,
                                      const Clock* clock, SimTime older_than,

@@ -95,7 +95,8 @@ Status Transaction::DeleteFiles(std::vector<std::string> paths) {
   return Status::OK();
 }
 
-Status Transaction::ValidateAgainst(const TableMetadata& current) const {
+Status Transaction::ValidateAgainst(const TableMetadata& current,
+                                    const StagedPathSet& staged) const {
   const auto intervening = current.SnapshotsAfter(base_->current_snapshot_id());
   if (intervening.empty()) return Status::OK();
 
@@ -109,10 +110,8 @@ Status Transaction::ValidateAgainst(const TableMetadata& current) const {
       // copied every live DataFile (paths, partitions) per validation,
       // which dominates rebase cost on large tables.
       std::set<std::string> my_partitions;
-      std::set<std::string> my_inputs(replaced_paths_.begin(),
-                                      replaced_paths_.end());
       base_->ForEachLiveFile([&](const DataFile& f) {
-        if (my_inputs.count(f.path) > 0) my_partitions.insert(f.partition);
+        if (staged.count(f.path) > 0) my_partitions.insert(f.partition);
       });
       for (const Snapshot* s : intervening) {
         // Fast-appends never invalidate a rewrite: they only add files,
@@ -123,7 +122,7 @@ Status Transaction::ValidateAgainst(const TableMetadata& current) const {
         // — its outputs would resurrect deleted/rewritten data.
         if (s->removed_paths != nullptr) {
           for (const std::string& p : *s->removed_paths) {
-            if (my_inputs.count(p) > 0) {
+            if (staged.count(p) > 0) {
               return Conflict(
                   ConflictKind::kInputRemoved,
                   "rewrite input removed by concurrent commit: " + p);
@@ -171,6 +170,7 @@ Status Transaction::ValidateAgainst(const TableMetadata& current) const {
 }
 
 Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
+                                            const StagedPathSet& staged,
                                             CommitDelta* delta) const {
   TableMetadata::Builder builder(current);
   Snapshot snap;
@@ -193,14 +193,12 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
   auto removed = std::make_shared<std::set<std::string>>();
 
   if (!replaced_paths_.empty()) {
-    const std::set<std::string> to_remove(replaced_paths_.begin(),
-                                          replaced_paths_.end());
     ManifestList filtered;
     filtered.reserve(manifests.size());
     for (const ManifestPtr& m : manifests) {
       const bool touched = std::any_of(
           m->files().begin(), m->files().end(),
-          [&](const DataFile& f) { return to_remove.count(f.path) > 0; });
+          [&](const DataFile& f) { return staged.count(f.path) > 0; });
       if (!touched) {
         filtered.push_back(m);
         continue;
@@ -208,7 +206,7 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
       std::vector<DataFile> kept = builder.TakeFileBuffer();
       kept.reserve(m->files().size());
       for (const DataFile& f : m->files()) {
-        if (to_remove.count(f.path) > 0) {
+        if (staged.count(f.path) > 0) {
           snap.deleted_files += 1;
           snap.deleted_bytes += f.file_size_bytes;
           snap.touched_partitions.insert(f.partition);
@@ -266,10 +264,11 @@ Result<CommitResult> Transaction::CommitInternal(bool* cas_race) {
   }
   AUTOCOMP_ASSIGN_OR_RETURN(TableMetadataPtr current,
                             store_->LoadTable(table_name_));
+  const StagedPathSet staged(replaced_paths_.begin(), replaced_paths_.end());
   if (current->version() != base_->version()) {
     // Someone committed since we captured the base: validate the rebase.
     // A rejection here is terminal (the operation is genuinely lost).
-    AUTOCOMP_RETURN_NOT_OK(ValidateAgainst(*current));
+    AUTOCOMP_RETURN_NOT_OK(ValidateAgainst(*current, staged));
   }
   // Injected commit faults: a CAS race (a concurrent writer "won" the
   // swap — retryable, nothing was installed) or a validation abort
@@ -300,7 +299,8 @@ Result<CommitResult> Transaction::CommitInternal(bool* cas_race) {
     }
   }
   CommitDelta delta;
-  AUTOCOMP_ASSIGN_OR_RETURN(TableMetadataPtr next, Apply(*current, &delta));
+  AUTOCOMP_ASSIGN_OR_RETURN(TableMetadataPtr next,
+                            Apply(*current, staged, &delta));
   const Status cas = store_->CommitTableWithDelta(table_name_,
                                                   current->version(), next,
                                                   delta);

@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -105,6 +107,10 @@ class Transaction {
   }
 
  private:
+  /// Membership view of replaced_paths_, built once per commit attempt.
+  /// Only probed, never iterated, so hash order cannot reach an output.
+  using StagedPathSet = std::unordered_set<std::string_view>;
+
   Status EnsureOperation(SnapshotOperation op);
   /// Records `kind` + `detail` into last_conflict_ and returns the
   /// matching CommitConflict Status (single exit for all conflict paths).
@@ -114,13 +120,15 @@ class Transaction {
   Result<CommitResult> CommitInternal(bool* cas_race);
   /// Validates the staged operation against snapshots committed after the
   /// base version. Returns CommitConflict on rejection.
-  Status ValidateAgainst(const TableMetadata& current) const;
+  Status ValidateAgainst(const TableMetadata& current,
+                         const StagedPathSet& staged) const;
   /// Builds the successor metadata from `current` and the staged op.
   /// Records the exact live-set change into `*delta` (added files as
   /// stamped, removed files with their live descriptors) — the commit
   /// hands it to MetadataStore::CommitTableWithDelta so incremental
   /// consumers avoid rescanning the table.
   Result<TableMetadataPtr> Apply(const TableMetadata& current,
+                                 const StagedPathSet& staged,
                                  CommitDelta* delta) const;
 
   MetadataStore* store_;

@@ -5,6 +5,9 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -86,15 +89,24 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkerRunsInline) {
 }
 
 TEST(ThreadPoolTest, ParallelForUsesMultipleWorkers) {
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "single-core host: fan-out cannot be observed";
-  }
+  // Overlap is forced by construction, not left to scheduling luck: the
+  // first body holds its worker until a second thread enters a body, so
+  // one worker cannot drain every index before the others wake. The
+  // wait is bounded; a pool that never fans out fails the expectation
+  // below instead of hanging.
   ThreadPool pool(4);
   std::mutex mu;
+  std::condition_variable second_entered;
   std::set<std::thread::id> threads;
+  bool first_claimed = false;
   pool.ParallelFor(256, [&](int64_t) {
-    std::lock_guard<std::mutex> lock(mu);
+    std::unique_lock<std::mutex> lock(mu);
     threads.insert(std::this_thread::get_id());
+    second_entered.notify_all();
+    if (first_claimed) return;
+    first_claimed = true;
+    second_entered.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return threads.size() >= 2; });
   });
   EXPECT_GE(threads.size(), 2u);
 }

@@ -7,6 +7,13 @@
 #       Scheduler quick mode: TSan build, then `ctest -L sched` only —
 #       the fast loop while iterating on src/sched (the DRR/priority
 #       batteries and the wake-order pin, see tests/scheduler_test.cc).
+#   tools/check.sh expiry [jobs]
+#       Expiry quick mode: ASan+UBSan build of the expiry suites, then
+#       `ctest -L expiry` only — the fast loop while iterating on
+#       snapshot expiry (the lineage oracle, cost counter and
+#       corrupt-lineage refusal in tests/expiry_lineage_test.cc, plus
+#       tests/expiry_fault_test.cc). Both suites also carry the `fault`
+#       label, so the full sanitizer runs below include them.
 #   tools/check.sh coverage [jobs]
 #       Coverage gate only: builds with -DAUTOCOMP_COVERAGE=ON, runs the
 #       suite, and measures line coverage of src/core + src/obs +
@@ -125,8 +132,22 @@ sched_check() {
   run ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L sched
 }
 
+expiry_check() {
+  local jobs="$1"
+  run cmake -B build-asan -S . -DAUTOCOMP_SANITIZE=address \
+      -DAUTOCOMP_BUILD_BENCHMARKS=OFF -DAUTOCOMP_BUILD_EXAMPLES=OFF
+  run cmake --build build-asan -j "$jobs" \
+      --target expiry_lineage_test expiry_fault_test
+  run ctest --test-dir build-asan --output-on-failure -j "$jobs" -L expiry
+}
+
 if [[ "${1:-}" == "sched" ]]; then
   sched_check "${2:-$(nproc)}"
+  exit 0
+fi
+
+if [[ "${1:-}" == "expiry" ]]; then
+  expiry_check "${2:-$(nproc)}"
   exit 0
 fi
 
