@@ -44,14 +44,12 @@
 ///
 /// The **scheduler tier** reruns the fleet with a deferred compaction
 /// preset (the only path the maintenance scheduler exists on):
-/// "seq-sched" (engaged-but-inert fifo — bit-identical to the
-/// pre-scheduler deferred path, dispatch-indirection cost budgeted at
-/// <2% against its own interleaved baseline) and "seq-drr"
-/// (deficit-round-robin + per-tenant budget, SLO recording on — its
-/// overhead vs the fifo leg carries the same budget, and its per-tenant
-/// p99 query latency / time-to-compact / budget-debt rows land in
-/// BENCH_sim.json under "sched_tenant_slo"). Both gates read
-/// AUTOCOMP_BENCH_SCHED_MAX_OVERHEAD_PCT.
+/// "sched-fifo" (the plain deferred baseline, default scheduler
+/// options) and "seq-drr" (deficit-round-robin + per-tenant budget, SLO
+/// recording on — its overhead vs the fifo leg is budgeted at <2%, gated
+/// by AUTOCOMP_BENCH_SCHED_MAX_OVERHEAD_PCT, and its per-tenant p99
+/// query latency / time-to-compact / budget-debt rows land in
+/// BENCH_sim.json under "sched_tenant_slo").
 ///
 /// The **scale tier** then replays a cold-fleet configuration —
 /// AUTOCOMP_BENCH_SCALE_TABLES one-table tenant databases (default
@@ -373,21 +371,16 @@ RunOutcome SkippedConfig(const std::string& name, int shards,
 // which the base matrix never takes — BaseOptions has no preset, so
 // those replays never compact. The scheduler tier therefore runs its
 // own preset-enabled fleet: every config plans top-5 table compactions
-// each hour and executes them on the timeline. Three configurations:
-//   sched-legacy  the pre-scheduler deferred path (baseline);
-//   seq-sched     engaged-but-inert fifo (preemption armed, no faults,
-//                 SLO recording off) — every unit routes through the
-//                 scheduler but no dispatch decision changes, so it
-//                 must stay bit-identical to sched-legacy and its
-//                 wall-clock delta is the pure dispatch-indirection
-//                 cost, budgeted at <2%;
+// each hour and executes them on the timeline. Two configurations:
+//   sched-fifo    the default scheduler options — the plain deferred
+//                 path (baseline);
 //   seq-drr       deficit-round-robin with a (loose) per-tenant GBHr
 //                 budget — admission control and SLO recording on;
 //                 per-tenant p99 query latency / time-to-compact /
 //                 budget-debt rows land in BENCH_sim.json. Its
 //                 overhead vs the fifo leg prices the DRR queue walk
-//                 and the SLO series appends, same <2% budget.
-enum class SchedMode { kLegacy, kFifo, kDrr };
+//                 and the SLO series appends, budgeted at <2%.
+enum class SchedMode { kFifo, kDrr };
 
 sim::FleetSimOptions SchedOptions(SchedMode mode) {
   sim::FleetSimOptions options = BaseOptions();
@@ -400,18 +393,12 @@ sim::FleetSimOptions SchedOptions(SchedMode mode) {
   preset.scope = sim::ScopeStrategy::kTable;
   preset.k = 5;
   preset.deferred_act = true;
-  if (mode == SchedMode::kFifo) {
-    // preemption=true engages the scheduler without changing a single
-    // dispatch decision (fifo order, no budget, no traffic threshold,
-    // no fault schedule): the parity configuration.
-    preset.scheduler.preemption = true;
-    preset.scheduler.record_slo = false;
-  } else if (mode == SchedMode::kDrr) {
-    preset.scheduler.policy = sched::SchedulerPolicy::kDrr;
-    preset.scheduler.quantum_gb_hours = 0.5;
+  if (mode == SchedMode::kDrr) {
+    options.driver.scheduler.policy = sched::SchedulerPolicy::kDrr;
+    options.driver.scheduler.quantum_gb_hours = 0.5;
     // Loose budget: admission control runs on every plan but rarely
     // binds, so the leg prices the machinery, not a throttled fleet.
-    preset.scheduler.tenant_budget_gb_hours = 50.0;
+    options.driver.scheduler.tenant_budget_gb_hours = 50.0;
   }
   options.preset = preset;
   return options;
@@ -431,8 +418,8 @@ OneRun SchedTimedRun(SchedMode mode) {
 
 /// Interleaved base-vs-variant pairs over the scheduler-tier fleet —
 /// same pairing/median discipline as RunInterleaved (which is hardwired
-/// to the presetless TimedRun). `baseline_out`, when given, receives
-/// the base config's last outcome for the parity check. Every variant
+/// to the presetless TimedRun). `baseline_out` receives the base
+/// config's last outcome for the report. Every variant
 /// rep must hash-identically reproduce the first (the replay is
 /// deterministic; a drifting hash here is a scheduler-ordering bug the
 /// timing numbers would otherwise hide).
@@ -470,13 +457,11 @@ RunOutcome RunSchedInterleaved(const std::string& name, SchedMode base_mode,
     out.total_files = variant.result.total_files;
     out.open_calls = variant.result.open_calls;
     out.metrics = std::move(variant.result.metrics);
-    if (baseline_out != nullptr) {
-      baseline_out->wall_ms = base.ms;
-      baseline_out->events = base.result.events_executed;
-      baseline_out->total_files = base.result.total_files;
-      baseline_out->open_calls = base.result.open_calls;
-      baseline_out->metrics = std::move(base.result.metrics);
-    }
+    baseline_out->wall_ms = base.ms;
+    baseline_out->events = base.result.events_executed;
+    baseline_out->total_files = base.result.total_files;
+    baseline_out->open_calls = base.result.open_calls;
+    baseline_out->metrics = std::move(base.result.metrics);
     std::printf("  %s run %d/%d: %.1f ms (paired baseline %.1f ms)\n",
                 name.c_str(), run + 1, pairs, variant.ms, base.ms);
   }
@@ -1032,66 +1017,42 @@ int main() {
     trace_runs.Append(std::move(entry));
   }
 
-  // --- Scheduler tier: engaged-but-inert fifo must be bit-identical to
-  // the pre-scheduler deferred path with <2% wall-clock cost; the DRR
-  // config prices fair-share dispatch + SLO recording against the fifo
-  // leg under the same budget and emits the per-tenant SLO rows.
+  // --- Scheduler tier: the DRR config prices fair-share dispatch + SLO
+  // recording against the plain fifo deferred path (<2% budget) and
+  // emits the per-tenant SLO rows. Fifo's metric hashes are pinned by
+  // tests/scheduler_test.cc, not here.
   std::printf(
       "scheduler tier: top-5 deferred compactions per cycle, %d day(s)...\n",
       kDays);
-  double sched_fifo_overhead_pct = 0;
-  RunOutcome sched_legacy;
-  sched_legacy.name = "sched-legacy";
-  RunOutcome sched_fifo =
-      RunSchedInterleaved("seq-sched", SchedMode::kLegacy, SchedMode::kFifo,
-                          &sched_fifo_overhead_pct, &sched_legacy);
-  {
-    std::string why;
-    sched_fifo.metrics_equal =
-        sched_legacy.metrics.Equals(sched_fifo.metrics, &why) &&
-        sched_fifo.events == sched_legacy.events &&
-        sched_fifo.total_files == sched_legacy.total_files &&
-        sched_fifo.open_calls == sched_legacy.open_calls;
-    AUTOCOMP_CHECK(sched_fifo.metrics_equal)
-        << "engaged fifo scheduler perturbed the deferred path: "
-        << (why.empty() ? "aggregate totals differ" : why);
-    AUTOCOMP_CHECK(sched_fifo.metrics.TotalCount("compaction_commits") > 0)
-        << "scheduler tier never committed a compaction — the parity "
-           "comparison is vacuous";
-  }
   double sched_drr_overhead_pct = 0;
+  RunOutcome sched_fifo;
+  sched_fifo.name = "sched-fifo";
   RunOutcome sched_drr =
       RunSchedInterleaved("seq-drr", SchedMode::kFifo, SchedMode::kDrr,
-                          &sched_drr_overhead_pct, nullptr);
+                          &sched_drr_overhead_pct, &sched_fifo);
+  AUTOCOMP_CHECK(sched_fifo.metrics.TotalCount("compaction_commits") > 0)
+      << "scheduler tier never committed a compaction — the overhead "
+         "comparison is vacuous";
   AUTOCOMP_CHECK(sched_drr.metrics.TotalCount("sched.admitted") > 0)
       << "DRR config admitted nothing through the scheduler";
   AUTOCOMP_CHECK(sched_drr.metrics.TotalCount("compaction_commits") > 0)
       << "DRR config never committed a compaction";
   constexpr double kSchedOverheadTargetPct = 2.0;
   sim::TablePrinter sched_table(
-      {"config", "wall ms", "events", "commits", "overhead %", "identical"});
-  sched_table.AddRow(
-      {sched_legacy.name, sim::Fmt(sched_legacy.wall_ms, 1),
-       std::to_string(sched_legacy.events),
-       std::to_string(sched_legacy.metrics.TotalCount("compaction_commits")),
-       "-", "baseline"});
+      {"config", "wall ms", "events", "commits", "overhead %"});
   sched_table.AddRow(
       {sched_fifo.name, sim::Fmt(sched_fifo.wall_ms, 1),
        std::to_string(sched_fifo.events),
        std::to_string(sched_fifo.metrics.TotalCount("compaction_commits")),
-       sim::Fmt(sched_fifo_overhead_pct, 2),
-       sched_fifo.metrics_equal ? "yes" : "NO"});
+       "baseline"});
   sched_table.AddRow(
       {sched_drr.name, sim::Fmt(sched_drr.wall_ms, 1),
        std::to_string(sched_drr.events),
        std::to_string(sched_drr.metrics.TotalCount("compaction_commits")),
-       sim::Fmt(sched_drr_overhead_pct, 2), "n/a"});
+       sim::Fmt(sched_drr_overhead_pct, 2)});
   std::printf("%s", sched_table.ToString().c_str());
-  std::printf(
-      "scheduler overhead: fifo (inert) %.2f%%, drr vs fifo %.2f%% "
-      "(target < %.0f%% each)\n",
-      sched_fifo_overhead_pct, sched_drr_overhead_pct,
-      kSchedOverheadTargetPct);
+  std::printf("scheduler overhead: drr vs fifo %.2f%% (target < %.0f%%)\n",
+              sched_drr_overhead_pct, kSchedOverheadTargetPct);
 
   // Per-tenant SLO rows from the DRR run (the config that records
   // them): p99 simulated query latency, p99 time-to-compact (admission
@@ -1142,22 +1103,11 @@ int main() {
   JsonValue sched_runs = JsonValue::Array();
   {
     JsonValue entry = JsonValue::Object();
-    entry.Set("name", sched_legacy.name);
-    entry.Set("wall_ms", sched_legacy.wall_ms);
-    entry.Set("events", sched_legacy.events);
-    entry.Set("compaction_commits",
-              sched_legacy.metrics.TotalCount("compaction_commits"));
-    sched_runs.Append(std::move(entry));
-  }
-  {
-    JsonValue entry = JsonValue::Object();
     entry.Set("name", sched_fifo.name);
     entry.Set("wall_ms", sched_fifo.wall_ms);
     entry.Set("events", sched_fifo.events);
     entry.Set("compaction_commits",
               sched_fifo.metrics.TotalCount("compaction_commits"));
-    entry.Set("overhead_pct", sched_fifo_overhead_pct);
-    entry.Set("metrics_equal_to_legacy", sched_fifo.metrics_equal);
     sched_runs.Append(std::move(entry));
   }
   {
@@ -1344,7 +1294,6 @@ int main() {
   doc.Set("trace_off_overhead_pct", trace_off_overhead_pct);
   doc.Set("trace_off_overhead_target_pct", kTraceOffOverheadTargetPct);
   doc.Set("sched_runs", std::move(sched_runs));
-  doc.Set("sched_fifo_overhead_pct", sched_fifo_overhead_pct);
   doc.Set("sched_drr_overhead_pct", sched_drr_overhead_pct);
   doc.Set("sched_overhead_target_pct", kSchedOverheadTargetPct);
   doc.Set("sched_tenant_slo", std::move(sched_slo_rows));

@@ -17,7 +17,6 @@
 
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -97,9 +96,10 @@ class BlobWriter {
 
 /// \brief Sequential reader over a blob produced by BlobWriter.
 ///
-/// Reads past the end are a checkpoint-format bug, not an input-data
-/// condition: they assert in debug builds and return zero values in
-/// release builds (`ok()` turns false so callers can surface Internal).
+/// A malformed blob (truncated, corrupt, or written by another decoder)
+/// never reads out of bounds, in any build: the failing read returns a
+/// zero value and `ok()` turns false for good, so callers surface
+/// Internal instead of aborting.
 class BlobReader {
  public:
   explicit BlobReader(std::string_view data) : data_(data) {}
@@ -169,17 +169,16 @@ class BlobReader {
   }
 
   bool Require(uint64_t n) {
-    if (pos_ + n > data_.size()) {
+    // Compared against what is left, never as pos_ + n: a corrupt length
+    // near 2^64 would wrap the sum past the check.
+    if (n > data_.size() - pos_) {
       Fail();
       return false;
     }
     return true;
   }
 
-  void Fail() {
-    assert(false && "BlobReader: malformed checkpoint");
-    ok_ = false;
-  }
+  void Fail() { ok_ = false; }
 
   std::string_view data_;
   size_t pos_ = 0;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/interner.h"
 #include "common/units.h"
 
 namespace autocomp::core {
@@ -31,12 +30,6 @@ struct Candidate {
   std::optional<std::string> partition;
   /// For kSnapshot scope: only files added after this snapshot id.
   int64_t after_snapshot_id = 0;
-  /// Interned table id, stamped by whichever driver owns the candidate
-  /// (see common/interner.h). A transport hint for hot paths that have
-  /// already interned `table` — ids are meaningful only within the
-  /// interner that assigned them, so this is excluded from equality and
-  /// id(). kInvalidId when no driver has stamped it.
-  common::TableId table_id = common::StringInterner::kInvalidId;
 
   /// Stable identifier used for deterministic tie-breaking and reporting.
   std::string id() const {

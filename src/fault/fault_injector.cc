@@ -54,8 +54,9 @@ Result<FaultProfile> FaultProfileByName(std::string_view name) {
     profile.sites[kSiteEngineRunner] = {{0.02, FaultKind::kRunnerCrash}};
     profile.sites[kSiteCatalogCommitEvent] = {
         {0.01, FaultKind::kDropEvent}, {0.01, FaultKind::kDuplicateEvent}};
-    // Only drawn when a scheduler with preemption is engaged — the site
-    // is never armed otherwise, so legacy chaos runs are unchanged.
+    // Only drawn when the deferred scheduler's options enable
+    // preemption — the site is never armed otherwise, so chaos runs
+    // without preemption are unchanged.
     profile.sites[kSiteEnginePreempt] = {{0.05, FaultKind::kPreempt}};
     return profile;
   }

@@ -62,9 +62,9 @@ struct FaultProfile {
 ///  * "timeouts"  — storage read timeouts + occasional quota breaches;
 ///  * "conflicts" — commit CAS races with rare terminal aborts;
 ///  * "chaos"     — every site at once, including runner crashes,
-///                  dropped/duplicated commit events, and (when a
-///                  preempting scheduler is engaged) dispatch-time
-///                  compaction preemptions.
+///                  dropped/duplicated commit events, and (when the
+///                  deferred scheduler's options enable preemption)
+///                  dispatch-time compaction preemptions.
 /// Unknown names return an error listing the valid ones.
 Result<FaultProfile> FaultProfileByName(std::string_view name);
 

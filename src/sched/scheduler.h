@@ -2,18 +2,19 @@
 /// \brief Fleet-level maintenance scheduler: the arbitration layer
 /// between the OODA decide phase and the executor clusters.
 ///
-/// The legacy deferred-compaction path starts every decided unit as soon
-/// as its table is free — first-come-first-served with no notion of who
-/// the work belongs to. At fleet scale (paper §2, §7) compaction is a
-/// shared-resource problem: tenants compete for cluster GBHr, a noisy
-/// tenant's backlog can starve everyone else's time-to-compact, and
-/// maintenance I/O fights foreground query traffic. This scheduler adds
-/// the missing arbitration:
+/// It is the deferred executor's only dispatcher: every decided unit of a
+/// deferred-mode EventDriver passes through it. Its default discipline
+/// starts each unit as soon as its table is free, first-come-first-
+/// served with no notion of who the work belongs to. At fleet scale
+/// (paper §2, §7) compaction is a shared-resource problem: tenants
+/// compete for cluster GBHr, a noisy tenant's backlog can starve
+/// everyone else's time-to-compact, and maintenance I/O fights
+/// foreground query traffic. The other knobs add that arbitration:
 ///
 ///  * **Per-tenant queues** — decided units are bucketed by tenant (the
 ///    database prefix of "db.table") in admission order.
-///  * **Disciplines** — kFifo reproduces the legacy start order exactly
-///    (the differential tests assert hash identity); kDrr serves tenants
+///  * **Disciplines** — kFifo starts each table's units in plan order
+///    (the differential tests pin its metric hashes); kDrr serves tenants
 ///    deficit-round-robin weighted by `tenant_weights`, so long-run GBHr
 ///    shares converge to the configured ratios; kPriority serves the
 ///    highest effective priority first, with optional aging so starved
@@ -54,8 +55,9 @@ namespace autocomp::sched {
 
 /// \brief Dispatch discipline over the per-tenant queues.
 enum class SchedulerPolicy : int {
-  /// Legacy start order: per-table FIFO kicks in plan order. With the
-  /// default options this is byte-identical to the un-scheduled path.
+  /// Per-table FIFO kicks in plan order: each table starts its first
+  /// queued unit when the plan arrives and its next one when the
+  /// running unit finalizes. The default.
   kFifo = 0,
   /// Deficit round-robin over tenants, weighted by `tenant_weights`.
   kDrr = 1,
@@ -107,24 +109,11 @@ struct SchedulerOptions {
   /// Seed for the DRR rotation and backoff-jitter CounterRng streams.
   uint64_t seed = 0x5c4edu;
 
-  /// Record the per-tenant SLO metric series (sched.* — see DESIGN.md
-  /// §12). The bench parity legs turn this off to compare a non-default
-  /// discipline hash-for-hash against fifo.
-  bool record_slo = true;
-
   /// Tenant -> DRR weight (default 1.0; clamped to a small positive
   /// minimum so a zero weight cannot starve the round loop).
   std::map<std::string, double> tenant_weights;
   /// Tenant -> priority class (default 0; higher runs first).
   std::map<std::string, int> tenant_priorities;
-
-  /// True when any knob departs from the plain legacy path. The driver
-  /// only constructs a scheduler when engaged, so default runs keep the
-  /// untouched legacy code path (golden-trace safety is structural).
-  bool Engaged() const {
-    return policy != SchedulerPolicy::kFifo || preemption ||
-           tenant_budget_gb_hours > 0;
-  }
 
   double WeightOf(const std::string& tenant) const;
   int PriorityOf(const std::string& tenant) const;
@@ -179,8 +168,7 @@ class MaintenanceScheduler {
 
   /// Pops the next dispatchable unit under the configured discipline, or
   /// nullopt when nothing can start now. The unit is removed from its
-  /// queue — a dropped unit (failed prepare) is simply gone, matching
-  /// the legacy pop-then-try loop.
+  /// queue — a dropped unit (failed prepare) is simply gone.
   std::optional<QueuedUnit> NextUnit(SimTime now);
 
   /// The unit returned by NextUnit() actually started running.
@@ -222,7 +210,7 @@ class MaintenanceScheduler {
   std::vector<std::string> Tenants() const;
 
   /// Drops all queued work and bookkeeping except the per-tenant usage
-  /// ledger (FinishRun semantics, mirroring table_queues_.clear()).
+  /// ledger (EventDriver::FinishRun drops undispatched units).
   void Clear();
 
   /// \name Lane checkpoint (DESIGN.md §10/§12)
@@ -265,8 +253,7 @@ class MaintenanceScheduler {
   std::map<std::string, Tenant> tenants_;      // name-sorted
   std::map<std::string, QueuedUnit> running_;  // by table name
   /// kFifo only: pending per-table start kicks in plan order (one per
-  /// table with no running unit at admission; re-kicked at finalize) —
-  /// the exact legacy StartNextUnit trigger points.
+  /// table with no running unit at admission; re-kicked at finalize).
   std::deque<std::string> kicks_;
   int64_t next_seq_ = 0;
   uint64_t drr_rounds_ = 0;

@@ -47,19 +47,17 @@ EventDriver::EventDriver(SimEnvironment* env, MetricsRecorder* metrics,
   ids_.compaction_abandoned = metrics_->Intern("compaction_abandoned");
   ids_.compaction_backoff_s = metrics_->Intern("compaction_backoff_s");
   // Interned unconditionally (Equals/ContentHash skip empty slots, so
-  // legacy runs hash identically); recorded only with a scheduler
-  // engaged.
+  // runs that never record them hash as if they did not exist).
   ids_.sched_admitted = metrics_->Intern("sched.admitted");
   ids_.sched_rejected = metrics_->Intern("sched.rejected");
   ids_.compaction_preempted = metrics_->Intern("compaction_preempted");
-  if (options_.deferred_compaction && options_.scheduler.Engaged()) {
+  if (options_.deferred_compaction) {
     scheduler_ =
         std::make_unique<sched::MaintenanceScheduler>(options_.scheduler);
-    // Plain-fifo engagements (the differential parity configuration)
-    // must not record anything the legacy path would not.
-    slo_active_ = options_.scheduler.record_slo &&
-                  (options_.scheduler.policy != sched::SchedulerPolicy::kFifo ||
-                   options_.scheduler.tenant_budget_gb_hours > 0);
+    // Plain fifo, the default, records no sched.* series: default runs
+    // hash as they did before the scheduler existed.
+    slo_active_ = options_.scheduler.policy != sched::SchedulerPolicy::kFifo ||
+                  options_.scheduler.tenant_budget_gb_hours > 0;
   }
 }
 
@@ -70,49 +68,17 @@ void EventDriver::SampleNow() {
 
 void EventDriver::ScheduleCompactions(
     const std::vector<core::ScoredCandidate>& plan) {
-  if (scheduler_ != nullptr) {
-    const SimTime now = env_->clock().Now();
-    const sched::AdmitOutcome outcome = scheduler_->Admit(plan, now);
-    if (slo_active_) {
-      if (outcome.admitted > 0) {
-        metrics_->Increment(ids_.sched_admitted, now, outcome.admitted);
-      }
-      if (outcome.rejected > 0) {
-        metrics_->Increment(ids_.sched_rejected, now, outcome.rejected);
-      }
+  const SimTime now = env_->clock().Now();
+  const sched::AdmitOutcome outcome = scheduler_->Admit(plan, now);
+  if (slo_active_) {
+    if (outcome.admitted > 0) {
+      metrics_->Increment(ids_.sched_admitted, now, outcome.admitted);
     }
-    DispatchScheduled();
-    return;
-  }
-  for (const core::ScoredCandidate& item : plan) {
-    core::Candidate unit = item.candidate();
-    unit.table_id = table_ids_.Intern(unit.table);
-    table_queues_[unit.table_id].push_back(std::move(unit));
-  }
-  // Kick off the first unit of every table that has no inflight rewrite
-  // (within-table sequencing mirrors TableParallelScheduler).
-  for (const core::ScoredCandidate& item : plan) {
-    const common::TableId table = table_ids_.Lookup(item.candidate().table);
-    const auto queue_it = table_queues_.find(table);
-    if (inflight_.count(table) == 0 && queue_it != table_queues_.end() &&
-        !queue_it->second.empty()) {
-      StartNextUnit(table);
+    if (outcome.rejected > 0) {
+      metrics_->Increment(ids_.sched_rejected, now, outcome.rejected);
     }
   }
-}
-
-void EventDriver::StartNextUnit(common::TableId table) {
-  auto queue_it = table_queues_.find(table);
-  if (queue_it == table_queues_.end()) return;
-  bool started = false;
-  while (!started && !queue_it->second.empty()) {
-    const core::Candidate candidate = std::move(queue_it->second.front());
-    queue_it->second.pop_front();
-    started = TryStartUnit(table, candidate);
-  }
-  // Drained queues are erased eagerly — a week-long replay would
-  // otherwise leak one map node per table that ever compacted.
-  if (queue_it->second.empty()) table_queues_.erase(queue_it);
+  DispatchScheduled();
 }
 
 bool EventDriver::TryStartUnit(common::TableId table,
@@ -138,12 +104,12 @@ bool EventDriver::TryStartUnit(common::TableId table,
   if (!pending.ok()) {
     LOG_WARN << "compaction prepare failed for " << candidate.id() << ": "
              << pending.status();
-    return false;  // the caller tries the next queued unit
+    return false;  // the unit is consumed; the caller dispatches the next
   }
   if (!pending->result.attempted) {
     // Either nothing to rewrite, or the write phase gave the unit up
     // (crash-retry budget exhausted, quota breach) — its outputs were
-    // already cleaned up; count the abandonment and pull the next unit.
+    // already cleaned up; count the abandonment and dispatch the next.
     if (pending->result.abandoned) {
       const SimTime at = env_->clock().Now();
       metrics_->Increment(ids_.compaction_abandoned, at);
@@ -193,7 +159,7 @@ void EventDriver::PreemptTable(common::TableId table, SimTime now) {
 
 void EventDriver::ObserveTraffic(const workload::QueryEvent& event,
                                  SimTime now) {
-  if (!options_.scheduler.preemption ||
+  if (!options_.deferred_compaction || !options_.scheduler.preemption ||
       options_.scheduler.spike_queries_per_hour <= 0) {
     return;
   }
@@ -243,10 +209,15 @@ void EventDriver::RecordSchedulerSlo(
   }
 }
 
-engine::CompactionResult EventDriver::FinalizeUnit(
-    common::TableId table, engine::PendingCompaction&& pending) {
+void EventDriver::FinalizeUnit(common::TableId table,
+                               engine::PendingCompaction&& pending) {
   const SimTime at = pending.result.end_time;
-  engine::CompactionResult result =
+  const std::string& table_name = table_ids_.NameOf(table);
+  // The unit copy only feeds SLO bookkeeping — skip it (per finalize,
+  // several strings) when SLO recording is off.
+  std::optional<sched::QueuedUnit> unit;
+  if (slo_active_) unit = scheduler_->RunningUnit(table_name);
+  const engine::CompactionResult result =
       env_->compaction_runner().Finalize(std::move(pending));
   if (result.committed) {
     metrics_->Increment(ids_.compaction_commits, at);
@@ -254,7 +225,6 @@ engine::CompactionResult EventDriver::FinalizeUnit(
     metrics_->Record(
         ids_.compaction_files_reduced, at,
         static_cast<double>(result.files_rewritten - result.files_produced));
-    const std::string& table_name = table_ids_.NameOf(table);
     auto retention = env_->control_plane().RunRetentionFor(
         table_name, options_.post_commit_retention);
     if (!retention.ok()) {
@@ -276,7 +246,8 @@ engine::CompactionResult EventDriver::FinalizeUnit(
   if (result.backoff_seconds > 0) {
     metrics_->Observe(ids_.compaction_backoff_s, at, result.backoff_seconds);
   }
-  return result;
+  scheduler_->OnFinished(table_name, result.gb_hours, result.end_time);
+  RecordSchedulerSlo(table_name, unit, result, result.end_time);
 }
 
 void EventDriver::FinalizeDueCompactions(SimTime t) {
@@ -288,23 +259,8 @@ void EventDriver::FinalizeDueCompactions(SimTime t) {
     assert(it != inflight_.end());
     engine::PendingCompaction pending = std::move(it->second);
     inflight_.erase(it);
-    if (scheduler_ != nullptr) {
-      // Copy: DispatchScheduled below may intern new tables and move the
-      // interner's storage.
-      const std::string name = table_ids_.NameOf(due->table);
-      // The unit copy only feeds SLO bookkeeping — skip it (per
-      // finalize, several strings) when SLO recording is off.
-      std::optional<sched::QueuedUnit> unit;
-      if (slo_active_) unit = scheduler_->RunningUnit(name);
-      const engine::CompactionResult result =
-          FinalizeUnit(due->table, std::move(pending));
-      scheduler_->OnFinished(name, result.gb_hours, result.end_time);
-      RecordSchedulerSlo(name, unit, result, result.end_time);
-      DispatchScheduled();
-    } else {
-      FinalizeUnit(due->table, std::move(pending));
-      StartNextUnit(due->table);
-    }
+    FinalizeUnit(due->table, std::move(pending));
+    DispatchScheduled();
   }
 }
 
@@ -316,14 +272,15 @@ std::optional<SimTime> EventDriver::NextActivityBound() const {
   if (next_retention_ >= 0) fold(next_retention_);
   if (service_ != nullptr) fold(service_->trigger().next_due());
   if (const auto end = calendar_.PeekNextCompaction()) fold(*end);
-  if (scheduler_ != nullptr) {
-    // A queued unit backing off re-dispatches at its not_before; units
-    // ripe-but-blocked dispatch at a compaction end already folded above.
-    if (const auto ready = scheduler_->NextReadyTime(env_->clock().Now())) {
-      fold(*ready);
-    }
-  }
+  // A queued unit backing off re-dispatches at its not_before; units
+  // ripe-but-blocked dispatch at a compaction end already folded above.
+  if (const auto ready = SchedulerReadyTime(env_->clock().Now())) fold(*ready);
   return next;
+}
+
+std::optional<SimTime> EventDriver::SchedulerReadyTime(SimTime now) const {
+  if (!options_.deferred_compaction) return std::nullopt;
+  return scheduler_->NextReadyTime(now);
 }
 
 void EventDriver::ArmTimers(SimTime now) {
@@ -342,14 +299,12 @@ void EventDriver::ArmTimers(SimTime now) {
   } else {
     calendar_.DisarmTimer(CalendarQueue::Kind::kService);
   }
-  if (scheduler_ != nullptr) {
-    // Wake exactly when the earliest preemption backoff expires, so the
-    // advance loop below re-dispatches at that instant.
-    if (const auto ready = scheduler_->NextReadyTime(now)) {
-      calendar_.ArmTimer(CalendarQueue::Kind::kSchedulerReady, *ready);
-    } else {
-      calendar_.DisarmTimer(CalendarQueue::Kind::kSchedulerReady);
-    }
+  // Wake exactly when the earliest preemption backoff expires, so the
+  // advance loop below re-dispatches at that instant.
+  if (const auto ready = SchedulerReadyTime(now)) {
+    calendar_.ArmTimer(CalendarQueue::Kind::kSchedulerReady, *ready);
+  } else {
+    calendar_.DisarmTimer(CalendarQueue::Kind::kSchedulerReady);
   }
 }
 
@@ -419,7 +374,7 @@ Status EventDriver::AdvanceTo(SimTime t) {
         }
       }
     }
-    if (scheduler_ != nullptr && scheduler_->queued() > 0) {
+    if (options_.deferred_compaction && scheduler_->queued() > 0) {
       // Backoff expiries (the kSchedulerReady timer) land here; ripe
       // units with free tables start at this stop.
       DispatchScheduled();
@@ -431,7 +386,7 @@ Status EventDriver::AdvanceTo(SimTime t) {
 
 Status EventDriver::Execute(const workload::QueryEvent& event) {
   const SimTime now = env_->clock().Now();
-  if (scheduler_ != nullptr) ObserveTraffic(event, now);
+  ObserveTraffic(event, now);
   if (event.is_write) {
     metrics_->Increment(ids_.write_queries, now);
     auto result = env_->query_engine().ExecuteWrite(event.write, now);
@@ -502,25 +457,12 @@ void EventDriver::FinishRun() {
     assert(it != inflight_.end());
     engine::PendingCompaction pending = std::move(it->second);
     inflight_.erase(it);
-    if (scheduler_ != nullptr) {
-      const std::string name = table_ids_.NameOf(due->table);
-      // The unit copy only feeds SLO bookkeeping — skip it (per
-      // finalize, several strings) when SLO recording is off.
-      std::optional<sched::QueuedUnit> unit;
-      if (slo_active_) unit = scheduler_->RunningUnit(name);
-      const engine::CompactionResult result =
-          FinalizeUnit(due->table, std::move(pending));
-      scheduler_->OnFinished(name, result.gb_hours, result.end_time);
-      RecordSchedulerSlo(name, unit, result, result.end_time);
-    } else {
-      FinalizeUnit(due->table, std::move(pending));
-    }
     // Do not start further queued units past the end of the experiment.
+    FinalizeUnit(due->table, std::move(pending));
   }
-  table_queues_.clear();
-  // Queued-but-undispatched units are dropped, like the legacy queues;
-  // the usage ledger survives (it is part of the checkpointed state).
-  if (scheduler_ != nullptr) scheduler_->Clear();
+  // Queued-but-undispatched units are dropped; the usage ledger
+  // survives (it is part of the checkpointed state).
+  if (options_.deferred_compaction) scheduler_->Clear();
   // Surface per-site fault-injection counters as hourly counters. The
   // injector's counter map is sorted by site name and every count is a
   // pure function of the lane's serial execution, so the recorded values
@@ -562,9 +504,9 @@ void EventDriver::SaveState(common::BlobWriter* w) const {
   for (int64_t id = 0; id < tables; ++id) {
     w->WriteString(table_ids_.NameOf(static_cast<common::TableId>(id)));
   }
-  // Engagement is an options property, so save and restore sides agree
-  // structurally on whether this section exists.
-  if (scheduler_ != nullptr) scheduler_->SaveState(w);
+  // Deferred mode is an options property, so save and restore sides
+  // agree structurally on whether this section exists.
+  if (options_.deferred_compaction) scheduler_->SaveState(w);
 }
 
 Status EventDriver::SaveStateOrFail(common::BlobWriter* w) const {
@@ -590,7 +532,7 @@ Status EventDriver::RestoreState(common::BlobReader* r) {
       return Status::Internal("driver checkpoint: interner id mismatch");
     }
   }
-  if (scheduler_ != nullptr) {
+  if (options_.deferred_compaction) {
     AUTOCOMP_RETURN_NOT_OK(scheduler_->RestoreState(r));
   }
   if (!r->ok()) return Status::Internal("truncated driver checkpoint");

@@ -8,13 +8,14 @@
 ///    inside the tick (commit happens instantly; no cluster-side
 ///    conflicts can occur);
 ///  * deferred — the service only decides (its scheduler is null) and the
-///    driver executes the plan on the timeline: Prepare at the unit's
-///    start, Finalize (the commit) at its end. User writes that land in
-///    between cause exactly the cluster-side conflicts of Table 1.
+///    driver executes the plan on the timeline: every decided unit is
+///    admitted to a sched::MaintenanceScheduler, which picks when it
+///    starts; Prepare runs at the unit's start, Finalize (the commit) at
+///    its end. User writes that land in between cause exactly the
+///    cluster-side conflicts of Table 1.
 
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -59,11 +60,10 @@ struct DriverOptions {
   /// the driver produces; bit-identity comparisons (policy_diff_test,
   /// the policy sweep's NFR2 gate) turn them off.
   bool record_host_timings = true;
-  /// Fleet-level maintenance scheduler (DESIGN.md §12). Only consulted
-  /// in deferred mode, and only when a knob departs from the plain
-  /// defaults (SchedulerOptions::Engaged()) — otherwise the driver keeps
-  /// the untouched legacy dispatch path, so default runs stay bit- and
-  /// golden-trace-identical by construction.
+  /// Fleet-level maintenance scheduler (DESIGN.md §12): the deferred
+  /// executor's dispatcher, built whenever `deferred_compaction` is set
+  /// and ignored otherwise. The default fifo options start each table's
+  /// units in plan order and record no sched.* series.
   sched::SchedulerOptions scheduler;
 };
 
@@ -125,8 +125,8 @@ class EventDriver {
   /// precondition for lane eviction (a PendingCompaction holds an open
   /// lst::Transaction, which is not checkpointable).
   bool Quiescent() const {
-    return table_queues_.empty() && inflight_.empty() &&
-           (scheduler_ == nullptr || scheduler_->Quiescent());
+    return inflight_.empty() &&
+           (!options_.deferred_compaction || scheduler_->Quiescent());
   }
 
   /// Next scheduled retention tick (-1 = retention disabled). The fleet
@@ -135,8 +135,9 @@ class EventDriver {
   SimTime next_retention() const { return next_retention_; }
 
   /// \name Lane checkpoint (DESIGN.md §10)
-  /// Serializes the timer scalars, latency accumulators and the table-id
-  /// interner of a *quiescent* driver. RestoreState expects a freshly
+  /// Serializes the timer scalars, latency accumulators, the table-id
+  /// interner and, in deferred mode, the scheduler of a *quiescent*
+  /// driver. RestoreState expects a freshly
   /// constructed driver over the restored environment: the calendar
   /// queue needs no state (ArmTimers re-derives every timer entry from
   /// the scalars on the next advance; a quiescent driver has no
@@ -149,19 +150,19 @@ class EventDriver {
 
  private:
   void SampleNow();
-  /// Deferred mode: queue a decided plan and start the first unit of each
-  /// table group (or, with a scheduler engaged, admit it and dispatch).
+  /// Deferred mode: admits a decided plan to the scheduler and starts
+  /// whatever it lets run now.
   void ScheduleCompactions(const std::vector<core::ScoredCandidate>& plan);
-  /// Starts the next queued unit for `table` (Prepare at the current
-  /// time). No-op units finalize instantly and pull the next one.
-  void StartNextUnit(common::TableId table);
-  /// Shared Prepare-and-register body: builds the request for
-  /// `candidate`, Prepares it now, and on success registers the inflight
-  /// unit and its calendar boundary. Returns true when a rewrite started.
+  /// Builds the request for `candidate`, Prepares it now, and on success
+  /// registers the inflight unit and its calendar boundary. Returns true
+  /// when a rewrite started.
   bool TryStartUnit(common::TableId table, const core::Candidate& candidate);
-  /// Scheduler mode: pops dispatchable units until the discipline yields
-  /// nothing, arming the preemption fault site per started unit.
+  /// Pops dispatchable units until the discipline yields nothing, arming
+  /// the preemption fault site per started unit.
   void DispatchScheduled();
+  /// Earliest preemption-backoff expiry among queued units (nullopt
+  /// outside deferred mode or when no unit is backing off).
+  std::optional<SimTime> SchedulerReadyTime(SimTime now) const;
   /// Cancels the inflight unit of `table` (injected or traffic-spike
   /// preemption): calendar entry removed, outputs abandoned via the
   /// runner, unit requeued with backoff, burned GBHr charged.
@@ -176,10 +177,13 @@ class EventDriver {
   void RecordSchedulerSlo(const std::string& table,
                           const std::optional<sched::QueuedUnit>& unit,
                           const engine::CompactionResult& result, SimTime at);
-  /// Finalizes every inflight unit whose rewrite finished by `t`.
+  /// Finalizes every inflight unit whose rewrite finished by `t`,
+  /// dispatching after each so a freed table restarts at once.
   void FinalizeDueCompactions(SimTime t);
-  engine::CompactionResult FinalizeUnit(common::TableId table,
-                                        engine::PendingCompaction&& pending);
+  /// Commits one finished unit, records its metrics and reports it to
+  /// the scheduler.
+  void FinalizeUnit(common::TableId table,
+                    engine::PendingCompaction&& pending);
   /// Re-syncs the calendar queue's timer entries with the scalar
   /// schedules (sample/retention/service) before each boundary peek.
   void ArmTimers(SimTime now);
@@ -209,12 +213,12 @@ class EventDriver {
   };
   Ids ids_;
 
-  /// Engaged maintenance scheduler (null on the legacy path — see
-  /// DriverOptions::scheduler).
+  /// Deferred-mode dispatcher (null exactly when `deferred_compaction`
+  /// is off — see DriverOptions::scheduler).
   std::unique_ptr<sched::MaintenanceScheduler> scheduler_;
-  /// True when the engaged configuration records the per-tenant sched.*
-  /// SLO series (never in plain-fifo parity configurations, which must
-  /// stay hash-identical to the legacy path).
+  /// True when the options record the per-tenant sched.* SLO series: a
+  /// non-fifo discipline or a tenant budget. Plain fifo, preemption
+  /// included, records none.
   bool slo_active_ = false;
   /// Per-tenant query counts for the current hour (spike preemption
   /// fires at most once per tenant-hour).
@@ -227,16 +231,13 @@ class EventDriver {
 
   /// Table names interned to dense ids: the per-table hot-path maps key
   /// by int32 instead of std::string, and the name is only touched at
-  /// construction (ScheduleCompactions) and reporting (Finalize/retention)
+  /// dispatch (DispatchScheduled) and reporting (Finalize/retention)
   /// edges. The driver is single-threaded per lane, so its interner is
   /// private and uncontended.
   common::StringInterner table_ids_;
 
-  /// Deferred-compaction state: per-table FIFO of decided candidates and
-  /// at most one inflight unit per table (§4.4 sequencing). Drained
-  /// queues are erased so week-long replays don't leak one map node per
-  /// table that ever compacted.
-  std::map<common::TableId, std::deque<core::Candidate>> table_queues_;
+  /// Deferred-compaction inflight units, at most one per table (§4.4
+  /// sequencing; the scheduler never dispatches to a busy table).
   std::map<common::TableId, engine::PendingCompaction> inflight_;
 
   /// Time boundaries (sample/retention/service timers and inflight

@@ -175,12 +175,6 @@ EnvironmentOptions FleetSimulation::LaneEnvironmentOptions(Lane* lane) const {
 
 DriverOptions FleetSimulation::LaneDriverOptions() const {
   DriverOptions driver_options = options_.driver;
-  if (options_.preset && options_.preset->scheduler.Engaged()) {
-    // The preset's scheduler knobs win over FleetSimOptions::driver —
-    // presets are the per-experiment surface, and an un-engaged preset
-    // scheduler must not clobber knobs set directly on the driver.
-    driver_options.scheduler = options_.preset->scheduler;
-  }
   if (options_.preset && options_.preset->policy &&
       *options_.preset->policy != core::PolicySpec::Default()) {
     // The preset policy's movement axis flows into deferred-mode
@@ -508,6 +502,17 @@ void FleetSimulation::RestoreLane(Lane* lane) {
                                                LaneDriverOptions());
   Status st = RestoreLaneState(lane->checkpoint, lane->env.get(),
                                lane->driver.get());
+  if (st.ok() && options_.check_invariants) {
+    // Save -> Restore -> Save must reproduce the checkpoint byte for
+    // byte; a difference means some component dropped or invented state
+    // across the round trip.
+    auto resaved = SaveLaneState(lane->env.get(), lane->driver.get());
+    if (!resaved.ok()) {
+      st = resaved.status();
+    } else if (*resaved != lane->checkpoint) {
+      st = Status::Internal("checkpoint does not re-save byte-identically");
+    }
+  }
   if (!st.ok() && lane->status.ok()) {
     lane->status = Status::Internal("restoring lane " + lane->db + ": " +
                                     st.message());

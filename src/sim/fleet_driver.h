@@ -112,10 +112,11 @@ struct FleetSimOptions {
   /// reference.
   LaneMode lane_mode = LaneMode::kActive;
   /// Run the fault::InvariantChecker over every hydrated lane at every
-  /// hour barrier (and over every lane at its finalization); the replay
-  /// fails fast with Internal on the first violation. Test-only — a
-  /// full-metadata audit per lane per epoch is far too slow for
-  /// benchmarking.
+  /// hour barrier (and over every lane at its finalization), and re-save
+  /// every restored lane, requiring the exact bytes of its checkpoint;
+  /// the replay fails fast with Internal on the first violation.
+  /// Test-only — a full-metadata audit per lane per epoch is far too
+  /// slow for benchmarking.
   bool check_invariants = false;
   /// Per-lane AutoComp service built from this preset (the preset's pool
   /// and trace are overridden per lane). nullopt replays the workload

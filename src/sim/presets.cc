@@ -62,8 +62,7 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
   std::shared_ptr<core::StatsCollector> base;
   if (index != nullptr) {
     base = std::make_shared<core::IndexedStatsCollector>(
-        &env->catalog(), &env->control_plane(), &env->clock(), index,
-        preset.cross_check_stats_index);
+        &env->catalog(), &env->control_plane(), &env->clock(), index);
   }
   if (preset.cache_stats) {
     stages.collector = std::make_shared<core::CachingStatsCollector>(

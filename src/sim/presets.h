@@ -12,7 +12,6 @@
 #include "core/pipeline.h"
 #include "core/policy.h"
 #include "core/triggers.h"
-#include "sched/scheduler.h"
 #include "sim/environment.h"
 
 namespace autocomp::sim {
@@ -60,9 +59,6 @@ struct StrategyPreset {
   /// bit-identical to the rescan path (NFR2). Off = the `--no-stats-index`
   /// ablation. Composes with `cache_stats` (index feeds cache misses).
   bool use_stats_index = true;
-  /// Debug mode: on every index hit, also rescan and fail loudly on any
-  /// divergence. Expensive; for tests and ablation studies.
-  bool cross_check_stats_index = false;
   /// Trace recorder for the pipeline's OODA phase spans and decision
   /// instants (not owned; must outlive the service). Usually the same
   /// recorder EnvironmentOptions::trace installs on the lower layers.
@@ -75,12 +71,6 @@ struct StrategyPreset {
   /// Default() leaves the preset byte-identical to the pre-decomposition
   /// pipeline (tests/policy_diff_test.cc pins this).
   std::optional<core::PolicySpec> policy;
-  /// Fleet-level maintenance scheduler knobs (DESIGN.md §12). Copied
-  /// into every lane's DriverOptions only when a knob departs from the
-  /// plain defaults (SchedulerOptions::Engaged()); requires
-  /// `deferred_act` — the scheduler sits between decide and the
-  /// deferred executor, so synchronous runs never consult it.
-  sched::SchedulerOptions scheduler;
 };
 
 /// \brief Builds the full pipeline + periodic service over `env`'s

@@ -1,10 +1,14 @@
 // Unit tests for src/common: Status/Result, Config, Rng, histograms,
-// units, clock, logging.
+// units, clock, blob codec, logging.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 
+#include "common/blob.h"
 #include "common/clock.h"
 #include "common/config.h"
 #include "common/histogram.h"
@@ -404,6 +408,44 @@ TEST(ClockTest, AdvanceAndAdvanceTo) {
   EXPECT_EQ(clock.Now(), 200);
   clock.AdvanceTo(200);  // no-op is allowed
   EXPECT_EQ(clock.Now(), 200);
+}
+
+// ------------------------------------------------------------ BlobReader
+
+TEST(BlobReaderTest, RoundTripsEveryFieldKind) {
+  common::BlobWriter w;
+  w.WriteI64(-42);
+  w.WriteU64(std::numeric_limits<uint64_t>::max());
+  w.WriteF64(0.1);
+  w.WriteString("tenant000");
+  w.WriteString("tenant000");  // interned back-reference
+  w.WriteBool(true);
+  const std::string blob = w.Take();
+  common::BlobReader r(blob);
+  EXPECT_EQ(r.ReadI64(), -42);
+  EXPECT_EQ(r.ReadU64(), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(r.ReadF64(), 0.1);
+  EXPECT_EQ(r.ReadString(), "tenant000");
+  EXPECT_EQ(r.ReadString(), "tenant000");
+  EXPECT_TRUE(r.ReadBool());
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(BlobReaderTest, HugeStringLengthFailsInsteadOfWrapping) {
+  // Tag 0 (a new string), then a length of 2^64 - 2 (a 10-byte varint),
+  // then two payload bytes: 13 bytes with the read position at 11. A
+  // bounds check written as pos + n > size wraps to 9 and passes.
+  common::BlobWriter w;
+  w.WriteU64(0);
+  w.WriteU64(std::numeric_limits<uint64_t>::max() - 1);
+  w.WriteU8('a');
+  w.WriteU8('b');
+  const std::string blob = w.Take();
+  ASSERT_EQ(blob.size(), 13u);
+  common::BlobReader r(blob);
+  EXPECT_EQ(r.ReadString(), "");
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 2u) << "the read position moved";
 }
 
 // ---------------------------------------------------------------- Logger

@@ -68,30 +68,43 @@ void ExpectSameReplay(const FleetSimResult& a, const FleetSimResult& b,
 }
 
 // The headline matrix: evict-everything-every-hour under a budget of
-// one resident lane vs never-evict, across seeds × shards × pools.
+// one resident lane vs never-evict, across seeds × shards × pools, once
+// plain and once in deferred-compaction mode, whose lane checkpoints
+// carry the maintenance scheduler's section. (The evictor skips preset
+// runs, whose services are not checkpointed, so the deferred config
+// has no control loop; tests/scheduler_test.cc round-trips a scheduler
+// section with real ledgers.) The evicting runs audit invariants, which
+// includes re-saving every restored lane: Save -> Restore -> Save must
+// reproduce each evicted lane's blob byte for byte.
 TEST(FleetEvictionTest, AggressiveEvictionIsBitIdenticalAcrossMatrix) {
-  for (const uint64_t seed : {7ull, 11ull}) {
-    FleetSimOptions baseline = EvictableFleet(seed);
-    baseline.sharded = false;
-    const FleetSimResult reference = RunOrDie(std::move(baseline));
+  for (const bool deferred : {false, true}) {
+    for (const uint64_t seed : {7ull, 11ull}) {
+      FleetSimOptions baseline = EvictableFleet(seed);
+      baseline.driver.deferred_compaction = deferred;
+      baseline.sharded = false;
+      const FleetSimResult reference = RunOrDie(std::move(baseline));
 
-    for (const int shards : {1, 4}) {
-      for (const int workers : {0, 2}) {
-        std::unique_ptr<ThreadPool> pool;
-        if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
-        FleetSimOptions options = EvictableFleet(seed);
-        options.shards = shards;
-        options.pool = pool.get();
-        options.max_resident_lanes = 1;
-        options.evict_after_idle_hours = 1;
-        const FleetSimResult evicting = RunOrDie(std::move(options));
-        const std::string label = "seed=" + std::to_string(seed) +
-                                  " shards=" + std::to_string(shards) +
-                                  " workers=" + std::to_string(workers);
-        EXPECT_GT(evicting.lanes_evicted, 0) << label;
-        EXPECT_GT(evicting.lanes_restored, 0) << label;
-        EXPECT_GT(evicting.checkpoint_bytes, 0) << label;
-        ExpectSameReplay(reference, evicting, label);
+      for (const int shards : {1, 4}) {
+        for (const int workers : {0, 2}) {
+          std::unique_ptr<ThreadPool> pool;
+          if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+          FleetSimOptions options = EvictableFleet(seed);
+          options.driver.deferred_compaction = deferred;
+          options.shards = shards;
+          options.pool = pool.get();
+          options.max_resident_lanes = 1;
+          options.evict_after_idle_hours = 1;
+          options.check_invariants = true;
+          const FleetSimResult evicting = RunOrDie(std::move(options));
+          const std::string label = "deferred=" + std::to_string(deferred) +
+                                    " seed=" + std::to_string(seed) +
+                                    " shards=" + std::to_string(shards) +
+                                    " workers=" + std::to_string(workers);
+          EXPECT_GT(evicting.lanes_evicted, 0) << label;
+          EXPECT_GT(evicting.lanes_restored, 0) << label;
+          EXPECT_GT(evicting.checkpoint_bytes, 0) << label;
+          ExpectSameReplay(reference, evicting, label);
+        }
       }
     }
   }

@@ -4,16 +4,17 @@
 //    under extreme weight skew, priority order respects classes and
 //    aging, budget admission control accrues correctly, preemption
 //    requeues with deterministic backoff;
-//  * single-environment differential runs — an *engaged* fifo scheduler
-//    must reproduce the legacy deferred dispatch path metric-for-metric,
+//  * single-environment differential runs — the default fifo dispatch,
+//    with and without inert preemption, must reproduce metric hashes and
+//    catalog end states pinned from the per-table queues it replaced,
 //    and scripted `engine.preempt` injections must hold the safety
 //    invariants (no live-file loss, no orphan outputs) while replaying
 //    bit-identically;
-//  * fleet differential runs — every non-default discipline must be
-//    bit-identical between the sequential reference and any shard/pool
-//    geometry (NFR2 extends to the scheduler), and a non-default
-//    configuration must actually change behaviour (knobs are wired,
-//    not decorative).
+//  * fleet differential runs — fifo must reproduce the pinned fleet hash
+//    at every shard/pool geometry, every non-default discipline must be
+//    bit-identical between the sequential reference and any geometry
+//    (NFR2 extends to the scheduler), and a non-default configuration
+//    must actually change behaviour (knobs are wired, not decorative).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/blob.h"
+#include "common/counter_rng.h"
 #include "common/thread_pool.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_sites.h"
@@ -33,6 +35,7 @@
 #include "sim/driver.h"
 #include "sim/environment.h"
 #include "sim/fleet_driver.h"
+#include "sim/lane_checkpoint.h"
 #include "sim/metrics.h"
 #include "sim/presets.h"
 #include "workload/cab.h"
@@ -97,19 +100,6 @@ TEST(SchedulerTest, ParsePolicyNamesRoundTrip) {
     EXPECT_EQ(*parsed, policy);
   }
   EXPECT_FALSE(sched::ParseSchedulerPolicy("round-robin").has_value());
-}
-
-TEST(SchedulerTest, EngagedOnlyWhenKnobsDepartFromDefaults) {
-  SchedulerOptions options;
-  EXPECT_FALSE(options.Engaged());
-  options.policy = SchedulerPolicy::kDrr;
-  EXPECT_TRUE(options.Engaged());
-  options = SchedulerOptions();
-  options.preemption = true;
-  EXPECT_TRUE(options.Engaged());
-  options = SchedulerOptions();
-  options.tenant_budget_gb_hours = 1.0;
-  EXPECT_TRUE(options.Engaged());
 }
 
 TEST(SchedulerTest, TenantOfSplitsOnDatabasePrefix) {
@@ -284,6 +274,23 @@ TEST(SchedulerTest, CheckpointRoundTripsLedgersAndRejectsTruncation) {
   EXPECT_FALSE(truncated.RestoreState(&short_r).ok());
 }
 
+TEST(SchedulerTest, RestoreRejectsHugeTenantCountAtOnce) {
+  // A corrupt tenant count with no tenant bytes behind it: the restore
+  // must stop at the first failed read, not spin through 2^34 empty
+  // iterations.
+  common::BlobWriter w;
+  w.WriteI64(0);                      // next_seq
+  w.WriteI64(0);                      // drr_rounds
+  w.WriteString("");                  // drr_turn
+  w.WriteI64(int64_t{1} << 34);       // tenant count
+  const std::string blob = w.Take();
+  MaintenanceScheduler restored(SchedulerOptions{});
+  common::BlobReader r(blob);
+  const Status st = restored.RestoreState(&r);
+  EXPECT_TRUE(st.IsInternal()) << st;
+  EXPECT_LE(restored.Tenants().size(), 1u);
+}
+
 // ------------------------------------- single-env differential (CAB)
 
 struct CabOutcome {
@@ -294,15 +301,31 @@ struct CabOutcome {
   int64_t injected = 0;
 };
 
-/// A 3-hour deferred CAB run with the given scheduler knobs and fault
-/// schedule, invariant-audited at the end.
-CabOutcome RunCab(const SchedulerOptions& scheduler,
-                  const fault::FaultSchedule& schedule = {}) {
+sim::EnvironmentOptions CabEnvOptions(const fault::FaultSchedule& schedule) {
   sim::EnvironmentOptions env_options;
   env_options.fault.enabled = !schedule.entries.empty();
   env_options.fault.seed = 5;
   env_options.fault.schedule = schedule;
-  sim::SimEnvironment env(env_options);
+  return env_options;
+}
+
+sim::DriverOptions CabDriverOptions(const SchedulerOptions& scheduler) {
+  sim::DriverOptions driver_options;
+  driver_options.deferred_compaction = true;
+  // Host wall-clock series would differ between otherwise-identical
+  // runs; every comparison here is about simulated behaviour.
+  driver_options.record_host_timings = false;
+  driver_options.scheduler = scheduler;
+  return driver_options;
+}
+
+/// A 3-hour deferred CAB run with the given scheduler knobs and fault
+/// schedule, invariant-audited at the end. `checkpoint`, when given,
+/// receives the lane checkpoint of the finished run.
+CabOutcome RunCab(const SchedulerOptions& scheduler,
+                  const fault::FaultSchedule& schedule = {},
+                  std::string* checkpoint = nullptr) {
+  sim::SimEnvironment env(CabEnvOptions(schedule));
 
   env.fault_injector().set_armed(false);
   workload::CabOptions cab_options;
@@ -324,13 +347,7 @@ CabOutcome RunCab(const SchedulerOptions& scheduler,
   auto service = sim::MakeMoopService(&env, preset);
 
   CabOutcome out;
-  sim::DriverOptions driver_options;
-  driver_options.deferred_compaction = true;
-  // Host wall-clock series would differ between otherwise-identical
-  // runs; every comparison here is about simulated behaviour.
-  driver_options.record_host_timings = false;
-  driver_options.scheduler = scheduler;
-  sim::EventDriver driver(&env, &out.metrics, driver_options);
+  sim::EventDriver driver(&env, &out.metrics, CabDriverOptions(scheduler));
   driver.AttachService(service.get());
   const Status run = driver.Run(cab.GenerateEvents(), 3 * kHour);
   EXPECT_TRUE(run.ok()) << run;
@@ -343,25 +360,74 @@ CabOutcome RunCab(const SchedulerOptions& scheduler,
   out.abandoned = env.compaction_runner().total_abandoned();
   out.committed = env.compaction_runner().total_committed();
   out.injected = env.fault_injector().total_injected();
+  if (checkpoint != nullptr) {
+    auto blob = sim::SaveLaneState(&env, &driver);
+    EXPECT_TRUE(blob.ok()) << blob.status();
+    if (blob.ok()) *checkpoint = std::move(*blob);
+  }
   return out;
 }
 
-TEST(SchedulerDiffTest, EngagedFifoMatchesLegacyDeferredPath) {
-  // preemption=true engages the scheduler (it is constructed and every
-  // dispatch routes through it) but with no fault schedule and no spike
-  // threshold nothing ever preempts — the run must be metric-for-metric
-  // identical to the legacy un-scheduled dispatch path.
-  const CabOutcome legacy = RunCab(SchedulerOptions{});
-  SchedulerOptions engaged;
-  engaged.preemption = true;
-  const CabOutcome scheduled = RunCab(engaged);
+/// FNV-1a over "table=digest" lines: one number for a CatalogEndState.
+uint64_t EndStateDigest(const std::map<std::string, std::string>& state) {
+  std::string all;
+  for (const auto& [table, digest] : state) {
+    all += table + "=" + digest + "\n";
+  }
+  return CounterRng::HashString(all);
+}
 
-  ASSERT_GT(legacy.committed, 0) << "no compactions ran; vacuous diff";
-  EXPECT_EQ(legacy.committed, scheduled.committed);
-  EXPECT_EQ(legacy.end_state, scheduled.end_state);
-  std::string why;
-  EXPECT_TRUE(legacy.metrics.Equals(scheduled.metrics, &why)) << why;
-  EXPECT_EQ(legacy.metrics.ContentHash(), scheduled.metrics.ContentHash());
+// Pinned from the per-table deferred queues that fifo replaced, on the
+// last commit that still had them (RunCab(SchedulerOptions{}) and the
+// sequential SchedFleet(7) replay). With that reference code gone, these
+// constants carry the differential property: any change to fifo's start
+// order, or to what the driver records around it, moves them.
+constexpr uint64_t kPinnedCabHash = 0x77c614ed75af594dULL;
+constexpr uint64_t kPinnedCabEndState = 0x317a07f36f7d4562ULL;
+constexpr size_t kPinnedCabTables = 18;
+constexpr int64_t kPinnedCabCommitted = 29;
+constexpr uint64_t kPinnedFleetHash = 0xb953f46724ee4f07ULL;
+constexpr int64_t kPinnedFleetFiles = 387;
+
+TEST(SchedulerDiffTest, EngagedFifoMatchesLegacyDeferredPath) {
+  // The default options and an inert preemption (no fault schedule, no
+  // spike threshold, so nothing ever preempts) must both reproduce the
+  // pinned legacy run metric for metric.
+  SchedulerOptions inert;
+  inert.preemption = true;
+  for (const SchedulerOptions& options : {SchedulerOptions{}, inert}) {
+    const std::string label =
+        options.preemption ? "inert preemption" : "default";
+    const CabOutcome out = RunCab(options);
+    EXPECT_EQ(out.committed, kPinnedCabCommitted) << label;
+    EXPECT_EQ(out.end_state.size(), kPinnedCabTables) << label;
+    EXPECT_EQ(EndStateDigest(out.end_state), kPinnedCabEndState) << label;
+    EXPECT_EQ(out.metrics.ContentHash(), kPinnedCabHash) << label;
+  }
+}
+
+TEST(SchedulerDiffTest, DeferredLaneCheckpointResavesByteIdentically) {
+  // A finished deferred run under DRR with a tenant budget leaves a
+  // scheduler section with real ledgers (sequence counter, DRR turn,
+  // per-tenant usage and deficit). Restoring the lane checkpoint into a
+  // fresh environment and driver and saving again must give the same
+  // bytes.
+  SchedulerOptions drr;
+  drr.policy = SchedulerPolicy::kDrr;
+  drr.tenant_budget_gb_hours = 50.0;
+  std::string blob;
+  const CabOutcome out = RunCab(drr, {}, &blob);
+  ASSERT_GT(out.committed, 0) << "no compactions ran; vacuous round trip";
+  ASSERT_FALSE(blob.empty());
+
+  sim::SimEnvironment env(CabEnvOptions({}));
+  sim::MetricsRecorder metrics;
+  sim::EventDriver driver(&env, &metrics, CabDriverOptions(drr));
+  const Status restored = sim::RestoreLaneState(blob, &env, &driver);
+  ASSERT_TRUE(restored.ok()) << restored;
+  auto resaved = sim::SaveLaneState(&env, &driver);
+  ASSERT_TRUE(resaved.ok()) << resaved.status();
+  EXPECT_EQ(*resaved, blob);
 }
 
 TEST(SchedulerDiffTest, ScriptedPreemptionsHoldInvariantsAndReplay) {
@@ -434,39 +500,46 @@ sim::FleetSimResult RunFleet(sim::FleetSimOptions options) {
 }
 
 TEST(SchedulerDiffTest, EngagedFifoBitIdenticalToLegacyAcrossGeometries) {
-  // The engaged-fifo scheduler must be hash-identical to the legacy
-  // path at every shard/pool geometry — the fleet-scale version of the
-  // single-env parity above, and the golden-trace safety argument.
-  sim::FleetSimOptions legacy_options = SchedFleet(7);
-  legacy_options.sharded = false;
-  const sim::FleetSimResult legacy = RunFleet(std::move(legacy_options));
-  ASSERT_GT(legacy.events_executed, 0);
-  const uint64_t legacy_hash = legacy.metrics.ContentHash();
+  // Fifo must reproduce the pinned legacy fleet hash in the sequential
+  // reference and at every shard/pool geometry, with the default options
+  // and with inert preemption — the fleet-scale version of the
+  // single-env pin above, and the golden-trace safety argument.
+  sim::FleetSimOptions seq_options = SchedFleet(7);
+  seq_options.sharded = false;
+  const sim::FleetSimResult seq = RunFleet(std::move(seq_options));
+  ASSERT_GT(seq.events_executed, 0);
+  EXPECT_EQ(seq.metrics.ContentHash(), kPinnedFleetHash);
+  EXPECT_EQ(seq.total_files, kPinnedFleetFiles);
 
   for (const int shards : {1, 4, 8}) {
     for (const int workers : {0, 2, 4}) {
-      std::unique_ptr<ThreadPool> pool;
-      if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
-      sim::FleetSimOptions options = SchedFleet(7);
-      options.preset->scheduler.preemption = true;  // engages, inert
-      options.sharded = true;
-      options.shards = shards;
-      options.pool = pool.get();
-      const sim::FleetSimResult scheduled = RunFleet(std::move(options));
-      std::string why;
-      EXPECT_TRUE(legacy.metrics.Equals(scheduled.metrics, &why))
-          << "shards=" << shards << " workers=" << workers << ": " << why;
-      EXPECT_EQ(legacy_hash, scheduled.metrics.ContentHash());
-      EXPECT_EQ(legacy.total_files, scheduled.total_files);
+      for (const bool preemption : {false, true}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+        sim::FleetSimOptions options = SchedFleet(7);
+        options.driver.scheduler.preemption = preemption;  // inert
+        options.sharded = true;
+        options.shards = shards;
+        options.pool = pool.get();
+        const sim::FleetSimResult scheduled = RunFleet(std::move(options));
+        const std::string label = "shards=" + std::to_string(shards) +
+                                  " workers=" + std::to_string(workers) +
+                                  " preemption=" + std::to_string(preemption);
+        std::string why;
+        EXPECT_TRUE(seq.metrics.Equals(scheduled.metrics, &why))
+            << label << ": " << why;
+        EXPECT_EQ(scheduled.metrics.ContentHash(), kPinnedFleetHash) << label;
+        EXPECT_EQ(scheduled.total_files, kPinnedFleetFiles) << label;
+      }
     }
   }
 }
 
 TEST(SchedulerDiffTest, NonDefaultDisciplinesDeterministicAcrossGeometries) {
   // drr and priority change dispatch order, so they cannot be compared
-  // to the legacy path — instead each must agree with ITSELF between
-  // the sequential reference and every shard/pool geometry, SLO series
-  // included (record_slo stays on).
+  // to the pinned fifo hash — instead each must agree with ITSELF
+  // between the sequential reference and every shard/pool geometry, SLO
+  // series included.
   for (const SchedulerPolicy policy :
        {SchedulerPolicy::kDrr, SchedulerPolicy::kPriority}) {
     SchedulerOptions sched_options;
@@ -478,7 +551,7 @@ TEST(SchedulerDiffTest, NonDefaultDisciplinesDeterministicAcrossGeometries) {
     sched_options.tenant_budget_gb_hours = 50.0;  // loose; SLO debt rows on
 
     sim::FleetSimOptions seq_options = SchedFleet(7);
-    seq_options.preset->scheduler = sched_options;
+    seq_options.driver.scheduler = sched_options;
     seq_options.sharded = false;
     const sim::FleetSimResult seq = RunFleet(std::move(seq_options));
     ASSERT_GT(seq.events_executed, 0);
@@ -489,7 +562,7 @@ TEST(SchedulerDiffTest, NonDefaultDisciplinesDeterministicAcrossGeometries) {
         std::unique_ptr<ThreadPool> pool;
         if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
         sim::FleetSimOptions options = SchedFleet(7);
-        options.preset->scheduler = sched_options;
+        options.driver.scheduler = sched_options;
         options.sharded = true;
         options.shards = shards;
         options.pool = pool.get();
@@ -506,20 +579,20 @@ TEST(SchedulerDiffTest, NonDefaultDisciplinesDeterministicAcrossGeometries) {
 
 TEST(SchedulerDiffTest, TightBudgetActuallyChangesBehavior) {
   // Guard against a decorative scheduler: a tight tenant budget must
-  // reject admissions and diverge from the un-scheduled run.
-  sim::FleetSimOptions legacy_options = SchedFleet(7);
-  legacy_options.sharded = false;
-  const sim::FleetSimResult legacy = RunFleet(std::move(legacy_options));
+  // reject admissions and diverge from the default fifo run.
+  sim::FleetSimOptions fifo_options = SchedFleet(7);
+  fifo_options.sharded = false;
+  const sim::FleetSimResult fifo = RunFleet(std::move(fifo_options));
 
   sim::FleetSimOptions tight_options = SchedFleet(7);
-  tight_options.preset->scheduler.tenant_budget_gb_hours = 1e-6;
+  tight_options.driver.scheduler.tenant_budget_gb_hours = 1e-6;
   tight_options.sharded = false;
   const sim::FleetSimResult tight = RunFleet(std::move(tight_options));
 
   EXPECT_GT(tight.metrics.TotalCount("sched.rejected"), 0)
       << "a near-zero budget admitted everything — admission control is "
          "not reaching the dispatch path";
-  EXPECT_NE(legacy.metrics.ContentHash(), tight.metrics.ContentHash());
+  EXPECT_NE(fifo.metrics.ContentHash(), tight.metrics.ContentHash());
 }
 
 }  // namespace

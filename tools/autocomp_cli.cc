@@ -63,7 +63,6 @@ struct Flags {
   bool stats_cache = true;
   int64_t stats_cache_capacity = core::CachingStatsCollector::kDefaultCapacity;
   bool stats_index = true;
-  bool cross_check_stats_index = false;
   /// fleetsim: shard count for the parallel replay driver.
   int sim_shards = 4;
   /// fleetsim: advance shards concurrently (off = sequential reference).
@@ -83,8 +82,8 @@ struct Flags {
   /// picker=online-merge". Empty = the legacy preset path (equivalent to
   /// the Default() spec).
   std::string policy;
-  /// Fleet maintenance scheduler discipline (DESIGN.md §12): "fifo" is
-  /// bit-identical to the legacy dispatch path; "drr" is deficit-round-
+  /// Fleet maintenance scheduler discipline (DESIGN.md §12): "fifo"
+  /// starts each table's units in plan order; "drr" is deficit-round-
   /// robin fair share over tenants; "priority" is aged priority order.
   std::string scheduler = "fifo";
   /// Per-tenant GBHr/day budget for scheduler admission control
@@ -124,7 +123,6 @@ void PrintUsage() {
       "                    [--databases=N] [--seed=N] [--no-deferred]\n"
       "                    [--pool-size=N] [--no-stats-cache]\n"
       "                    [--stats-cache-capacity=N] [--no-stats-index]\n"
-      "                    [--cross-check-stats-index]\n"
       "                    [--sim-shards=K] [--no-sharded-sim]\n"
       "                    [--lane-mode=active|eager]\n"
       "                    [--max-resident-lanes=N]\n"
@@ -178,12 +176,10 @@ void PrintUsage() {
       "  --no-stats-index         disable the incremental stats index\n"
       "                           (ablation: observe rescans manifests;\n"
       "                           output is identical, only slower)\n"
-      "  --cross-check-stats-index  debug: rescan on every index hit and\n"
-      "                           abort the run on any divergence\n"
       "  --scheduler=NAME         fleet maintenance scheduler between\n"
       "                           decide and the deferred executor\n"
-      "                           (DESIGN.md §12): fifo (default; bit-\n"
-      "                           identical to the legacy path), drr\n"
+      "                           (DESIGN.md §12): fifo (default; each\n"
+      "                           table's units in plan order), drr\n"
       "                           (deficit-round-robin fair share across\n"
       "                           tenant databases), priority (aged\n"
       "                           priority order). Requires deferred mode\n"
@@ -294,8 +290,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->stats_cache = false;
     } else if (arg == "--no-stats-index") {
       flags->stats_index = false;
-    } else if (arg == "--cross-check-stats-index") {
-      flags->cross_check_stats_index = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -320,7 +314,7 @@ Result<std::optional<core::PolicySpec>> PolicyFor(const Flags& flags) {
   return std::optional<core::PolicySpec>(*spec);
 }
 
-/// Parses the scheduler knobs. Engaging any of them (--scheduler other
+/// Parses the scheduler knobs. Setting any of them (--scheduler other
 /// than fifo, --tenant-budget, --preemption) requires deferred mode —
 /// the scheduler sits between decide and the deferred executor, so a
 /// synchronous run would silently ignore it, which is worse than a
@@ -336,7 +330,9 @@ Result<sched::SchedulerOptions> SchedulerFor(const Flags& flags) {
   sched_options.tenant_budget_gb_hours = flags.tenant_budget;
   sched_options.preemption = flags.preemption;
   sched_options.spike_queries_per_hour = flags.spike_queries_per_hour;
-  if (sched_options.Engaged() && !flags.deferred) {
+  if (!flags.deferred &&
+      (*policy != sched::SchedulerPolicy::kFifo || flags.tenant_budget > 0 ||
+       flags.preemption)) {
     return Status::InvalidArgument(
         "--scheduler/--tenant-budget/--preemption require deferred mode "
         "(drop --no-deferred)");
@@ -436,7 +432,6 @@ std::unique_ptr<core::AutoCompService> MakeService(sim::SimEnvironment* env,
   preset.cache_stats = flags.stats_cache;
   preset.stats_cache_capacity = flags.stats_cache_capacity;
   preset.use_stats_index = flags.stats_index;
-  preset.cross_check_stats_index = flags.cross_check_stats_index;
   preset.trace = trace;
   return sim::MakeMoopService(env, preset);
 }
@@ -771,8 +766,6 @@ int RunFleetSim(const Flags& flags) {
     preset.cache_stats = flags.stats_cache;
     preset.stats_cache_capacity = flags.stats_cache_capacity;
     preset.use_stats_index = flags.stats_index;
-    preset.cross_check_stats_index = flags.cross_check_stats_index;
-    preset.scheduler = *sched_options;
     options.driver.deferred_compaction = flags.deferred;
     options.preset = preset;
   }
