@@ -16,8 +16,8 @@
 /// extends to every policy shape, not just the default). The run aborts
 /// on any divergence. Replays use the deferred-act driver so compaction
 /// work is executed on the simulated timeline and its GBHr lands in the
-/// metrics; host-wall-clock profiling series are disabled
-/// (DriverOptions::record_host_timings) so bit-identity is meaningful.
+/// metrics. Every driver metric is a function of simulated state, so
+/// bit-identity covers the whole recorder.
 ///
 /// Two follow-up sections reuse the sweep's machinery:
 ///  * merge competitive ratios — per archetype, an arrival trace shaped
@@ -139,11 +139,9 @@ sim::FleetSimOptions ArchetypeOptions(const Archetype& archetype,
   options.driver.retention_interval = kDay;
   // Deferred act: compaction executes on the simulated timeline, so its
   // commits/GBHr are recorded as metrics and the movement axis flows
-  // through DriverOptions::compaction_movement. Host-wall-clock
-  // profiling series stay off — the bit-identity assertion below
-  // compares every recorded metric.
+  // through DriverOptions::compaction_movement. The bit-identity
+  // assertion below compares every recorded metric.
   options.driver.deferred_compaction = true;
-  options.driver.record_host_timings = false;
   sim::StrategyPreset preset;
   preset.scope = sim::ScopeStrategy::kTable;
   preset.k = 5;

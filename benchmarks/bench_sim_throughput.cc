@@ -385,10 +385,6 @@ enum class SchedMode { kFifo, kDrr };
 sim::FleetSimOptions SchedOptions(SchedMode mode) {
   sim::FleetSimOptions options = BaseOptions();
   options.driver.deferred_compaction = true;
-  // The preset activates the OODA pipeline, whose host wall-clock
-  // series (pipeline_*_ms) differ per rep; every comparison in this
-  // tier is about simulated behaviour.
-  options.driver.record_host_timings = false;
   sim::StrategyPreset preset;
   preset.scope = sim::ScopeStrategy::kTable;
   preset.k = 5;
@@ -419,7 +415,8 @@ OneRun SchedTimedRun(SchedMode mode) {
 /// Interleaved base-vs-variant pairs over the scheduler-tier fleet —
 /// same pairing/median discipline as RunInterleaved (which is hardwired
 /// to the presetless TimedRun). `baseline_out` receives the base
-/// config's last outcome for the report. Every variant
+/// config's outcome for the report, timed best-of-pairs like the
+/// variant so the two wall-ms columns compare like with like. Every variant
 /// rep must hash-identically reproduce the first (the replay is
 /// deterministic; a drifting hash here is a scheduler-ordering bug the
 /// timing numbers would otherwise hide).
@@ -457,7 +454,9 @@ RunOutcome RunSchedInterleaved(const std::string& name, SchedMode base_mode,
     out.total_files = variant.result.total_files;
     out.open_calls = variant.result.open_calls;
     out.metrics = std::move(variant.result.metrics);
-    baseline_out->wall_ms = base.ms;
+    if (baseline_out->wall_ms == 0 || base.ms < baseline_out->wall_ms) {
+      baseline_out->wall_ms = base.ms;
+    }
     baseline_out->events = base.result.events_executed;
     baseline_out->total_files = base.result.total_files;
     baseline_out->open_calls = base.result.open_calls;
@@ -556,8 +555,7 @@ struct ScaleOutcome {
 
 /// One full-scale replay, in-process. Cross-process comparison uses
 /// MetricsRecorder::ContentHash (order-stable over exactly the surface
-/// Equals compares); the scale fleet runs without a preset, so no
-/// host-wall-clock metric exists to perturb the hash.
+/// Equals compares).
 ScaleOutcome ScaleBody(const std::string& name, int tables, int shards,
                        int pool_workers, int64_t max_resident_lanes,
                        int evict_after_idle_hours) {

@@ -4,9 +4,9 @@
 ///
 /// The observe phase standardizes per-table/per-partition statistics for
 /// every candidate each cycle (§4.1); at fleet scale that rescan is the
-/// dominant cost even with the snapshot-keyed cache, because every cache
-/// miss still walks the table's manifest tree. The LSM design-space trade
-/// (Sarkar et al.) applies: amortize the bookkeeping into the write path.
+/// dominant cost, because every collection walks the table's manifest
+/// tree. The LSM design-space trade (Sarkar et al.) applies: amortize
+/// the bookkeeping into the write path.
 /// IncrementalStatsIndex subscribes to Catalog commit listeners and keeps,
 /// per table and per partition:
 ///

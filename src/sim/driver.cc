@@ -34,13 +34,6 @@ EventDriver::EventDriver(SimEnvironment* env, MetricsRecorder* metrics,
   ids_.read_failures = metrics_->Intern("read_failures");
   ids_.read_latency_s = metrics_->Intern("read_latency_s");
   ids_.open_timeouts = metrics_->Intern("open_timeouts");
-  ids_.pipeline_generate_ms = metrics_->Intern("pipeline_generate_ms");
-  ids_.pipeline_observe_ms = metrics_->Intern("pipeline_observe_ms");
-  ids_.pipeline_orient_ms = metrics_->Intern("pipeline_orient_ms");
-  ids_.pipeline_decide_ms = metrics_->Intern("pipeline_decide_ms");
-  ids_.pipeline_act_ms = metrics_->Intern("pipeline_act_ms");
-  ids_.stats_cache_hits = metrics_->Intern("stats_cache_hits");
-  ids_.stats_cache_misses = metrics_->Intern("stats_cache_misses");
   ids_.stats_index_hits = metrics_->Intern("stats_index_hits");
   ids_.stats_index_fallbacks = metrics_->Intern("stats_index_fallbacks");
   ids_.compaction_retries = metrics_->Intern("compaction_retries");
@@ -338,29 +331,9 @@ Status EventDriver::AdvanceTo(SimTime t) {
         LOG_WARN << "autocomp service tick failed: " << ran.status();
       } else if (ran->has_value()) {
         const core::PipelineRunReport& report = **ran;
-        // Control-loop profiling: how long each OODA phase of this run
-        // took in host wall-clock, plus stats-cache traffic. These feed
-        // the pipeline-throughput benchmarks and the CLI summary.
-        if (options_.record_host_timings) {
-          metrics_->Record(ids_.pipeline_generate_ms, clock.Now(),
-                           report.timings.generate_ms);
-          metrics_->Record(ids_.pipeline_observe_ms, clock.Now(),
-                           report.timings.observe_ms);
-          metrics_->Record(ids_.pipeline_orient_ms, clock.Now(),
-                           report.timings.orient_ms);
-          metrics_->Record(ids_.pipeline_decide_ms, clock.Now(),
-                           report.timings.decide_ms);
-          metrics_->Record(ids_.pipeline_act_ms, clock.Now(),
-                           report.timings.act_ms);
-        }
-        if (report.stats_cache_hits > 0) {
-          metrics_->Increment(ids_.stats_cache_hits, clock.Now(),
-                              report.stats_cache_hits);
-        }
-        if (report.stats_cache_misses > 0) {
-          metrics_->Increment(ids_.stats_cache_misses, clock.Now(),
-                              report.stats_cache_misses);
-        }
+        // Stats-index traffic of this run. Every driver metric is a pure
+        // function of simulated state; host wall-clock phase timings stay
+        // in the report (PipelineRunReport::timings) for the caller.
         if (report.stats_index_hits > 0) {
           metrics_->Increment(ids_.stats_index_hits, clock.Now(),
                               report.stats_index_hits);

@@ -55,11 +55,6 @@ struct DriverOptions {
   /// mirroring core::RequestFor.
   engine::RewriteMovement compaction_movement =
       engine::RewriteMovement::kPartial;
-  /// Record the pipeline_*_ms host wall-clock profiling series for
-  /// attached-service runs. These are the only nondeterministic metrics
-  /// the driver produces; bit-identity comparisons (policy_diff_test,
-  /// the policy sweep's NFR2 gate) turn them off.
-  bool record_host_timings = true;
   /// Fleet-level maintenance scheduler (DESIGN.md §12): the deferred
   /// executor's dispatcher, built whenever `deferred_compaction` is set
   /// and ignored otherwise. The default fifo options start each table's
@@ -204,10 +199,8 @@ class EventDriver {
     MetricId files_total, compaction_commits, compaction_gbhr,
         compaction_files_reduced, cluster_conflicts, write_queries,
         write_failures, write_latency_s, client_conflicts, read_failures,
-        read_latency_s, open_timeouts, pipeline_generate_ms,
-        pipeline_observe_ms, pipeline_orient_ms, pipeline_decide_ms,
-        pipeline_act_ms, stats_cache_hits, stats_cache_misses,
-        stats_index_hits, stats_index_fallbacks, compaction_retries,
+        read_latency_s, open_timeouts, stats_index_hits,
+        stats_index_fallbacks, compaction_retries,
         compaction_abandoned, compaction_backoff_s, sched_admitted,
         sched_rejected, compaction_preempted;
   };

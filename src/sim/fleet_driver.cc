@@ -428,10 +428,8 @@ Status FleetSimulation::EvictLane(Lane* lane, SimTime now,
 
 Status FleetSimulation::EvictColdLanes(SimTime now, SimTime end_time) {
   // Eviction requires a quiescent driver (a PendingCompaction holds an
-  // open lst::Transaction — not checkpointable) and no per-lane service
-  // (a preset wakes every lane at the trigger cadence anyway, so
-  // dehydration would thrash).
-  if (options_.preset) return Status::OK();
+  // open lst::Transaction — not checkpointable); Run rejects a preset
+  // combined with eviction, so no lane carries a service here.
   if (options_.max_resident_lanes <= 0 && options_.evict_after_idle_hours <= 0) {
     return Status::OK();
   }
@@ -532,6 +530,14 @@ Result<FleetSimResult> FleetSimulation::Run() {
     return Status::FailedPrecondition("FleetSimulation::Run called twice");
   }
   ran_ = true;
+  if (options_.preset && (options_.max_resident_lanes > 0 ||
+                          options_.evict_after_idle_hours > 0)) {
+    // Lane services are not checkpointed, and a preset wakes every lane
+    // at the trigger cadence anyway; refusing beats ignoring the budget.
+    return Status::InvalidArgument(
+        "lane eviction (max_resident_lanes / evict_after_idle_hours) "
+        "cannot be combined with a preset");
+  }
   const auto host_start = std::chrono::steady_clock::now();
 
   const bool active = options_.lane_mode == LaneMode::kActive;
@@ -583,9 +589,8 @@ Result<FleetSimResult> FleetSimulation::Run() {
   // workload instance that replays the exact PlanSetup → per-day
   // PlanOnboard → EventsForDay sequence of the day loop below; the live
   // `fleet` draws nothing here.
-  if (active && !options_.preset &&
-      (options_.max_resident_lanes > 0 ||
-       options_.evict_after_idle_hours > 0)) {
+  if (active && (options_.max_resident_lanes > 0 ||
+                 options_.evict_after_idle_hours > 0)) {
     workload::FleetWorkload horizon(options_.fleet);
     horizon.PlanSetup(0);
     const auto touch = [&](const std::string& db, SimTime at) {
@@ -751,9 +756,8 @@ Result<FleetSimResult> FleetSimulation::Run() {
     // wave size. Serial bookkeeping (Prepare*, barrier deltas, retire)
     // brackets the parallel advance of each wave.
     const bool evictor_on =
-        active && !options_.preset &&
-        (options_.max_resident_lanes > 0 ||
-         options_.evict_after_idle_hours > 0);
+        active && (options_.max_resident_lanes > 0 ||
+                   options_.evict_after_idle_hours > 0);
     const size_t wave_size =
         evictor_on ? kEvictWaveSize : std::max<size_t>(due.size(), 1);
     for (size_t wave_begin = 0; wave_begin < due.size();

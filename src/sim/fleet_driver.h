@@ -154,8 +154,9 @@ struct FleetSimOptions {
   /// until at most this many lanes are resident. 0 = unbounded (the
   /// historical monotone ramp). Results are bit-identical at any
   /// budget: an evicted lane restores in O(state) on its next due
-  /// event and replays its deferred no-op ticks exactly. kActive only;
-  /// ignored with a preset (the control loop keeps every lane hot).
+  /// event and replays its deferred no-op ticks exactly. kActive only.
+  /// Lane services are not checkpointed, so Run returns InvalidArgument
+  /// when this or `evict_after_idle_hours` is set together with `preset`.
   int64_t max_resident_lanes = 0;
   /// Idle-based eviction: a quiescent lane untouched for this many
   /// simulated hours is dehydrated regardless of the budget (0 = off).

@@ -48,17 +48,6 @@ struct StrategyPreset {
   /// Thread pool for the observe/orient fan-out; nullptr runs the
   /// pipeline sequentially. Not owned; must outlive the service.
   ThreadPool* pool = nullptr;
-  /// Use the snapshot-keyed CachingStatsCollector instead of the plain
-  /// one (commit-invalidated; identical output, cheaper idle cycles).
-  bool cache_stats = false;
-  /// LRU entry bound for the stats cache (<= 0 = unbounded).
-  int64_t stats_cache_capacity = core::CachingStatsCollector::kDefaultCapacity;
-  /// Maintain an IncrementalStatsIndex from commit deltas and serve
-  /// observation stats / partition lists / replace watermarks from it
-  /// (O(delta) per cycle instead of rescanning manifests). Output is
-  /// bit-identical to the rescan path (NFR2). Off = the `--no-stats-index`
-  /// ablation. Composes with `cache_stats` (index feeds cache misses).
-  bool use_stats_index = true;
   /// Trace recorder for the pipeline's OODA phase spans and decision
   /// instants (not owned; must outlive the service). Usually the same
   /// recorder EnvironmentOptions::trace installs on the lower layers.
@@ -75,7 +64,9 @@ struct StrategyPreset {
 
 /// \brief Builds the full pipeline + periodic service over `env`'s
 /// dedicated compaction cluster. The returned service owns the pipeline;
-/// stage objects are shared into it.
+/// stage objects are shared into it. Generation and observation are
+/// served by one core::IncrementalStatsIndex kept current from commit
+/// deltas (O(delta) per cycle), bit-identical to a rescan (NFR2).
 std::unique_ptr<core::AutoCompService> MakeMoopService(
     SimEnvironment* env, const StrategyPreset& preset);
 

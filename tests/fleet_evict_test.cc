@@ -70,8 +70,8 @@ void ExpectSameReplay(const FleetSimResult& a, const FleetSimResult& b,
 // The headline matrix: evict-everything-every-hour under a budget of
 // one resident lane vs never-evict, across seeds × shards × pools, once
 // plain and once in deferred-compaction mode, whose lane checkpoints
-// carry the maintenance scheduler's section. (The evictor skips preset
-// runs, whose services are not checkpointed, so the deferred config
+// carry the maintenance scheduler's section. (Run rejects eviction with
+// a preset, whose services are not checkpointed, so the deferred config
 // has no control loop; tests/scheduler_test.cc round-trips a scheduler
 // section with real ledgers.) The evicting runs audit invariants, which
 // includes re-saving every restored lane: Save -> Restore -> Save must
@@ -197,6 +197,27 @@ TEST(FleetEvictionTest, ResidencyHookObservesDrainToBudget) {
   EXPECT_GT(result.lanes_restored, 0);
   EXPECT_TRUE(exceeded) << "budget never stressed; test is vacuous";
   EXPECT_TRUE(drained_after_exceeding);
+}
+
+// Lane services are not checkpointed, so a preset cannot run under the
+// evictor. Either eviction knob with a preset must be refused up front
+// rather than silently ignored.
+TEST(FleetEvictionTest, EvictionWithPresetIsRejected) {
+  for (const bool by_budget : {true, false}) {
+    FleetSimOptions options = EvictableFleet(7);
+    options.days = 1;
+    options.preset = StrategyPreset{};
+    if (by_budget) {
+      options.max_resident_lanes = 1;
+    } else {
+      options.evict_after_idle_hours = 1;
+    }
+    FleetSimulation simulation(std::move(options));
+    const auto result = simulation.Run();
+    ASSERT_FALSE(result.ok()) << "by_budget=" << by_budget;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+  }
 }
 
 // ------------------------------------------------ checkpoint codec

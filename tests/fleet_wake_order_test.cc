@@ -91,8 +91,8 @@ TEST(FleetWakeOrderTest, EvictRestoreCyclesDoNotReorderOrPerturb) {
   // Evict/restore history must be invisible: a run under a tight
   // resident-lane budget (lanes checkpoint and rehydrate continually,
   // re-entering the wake wheel in restore order) must publish exactly
-  // the metrics of the unbounded run. The evictor only runs without a
-  // preset, so this leg exercises the event-driven wake path.
+  // the metrics of the unbounded run. The evictor refuses a preset, so
+  // this leg exercises the event-driven wake path.
   FleetSimOptions unbounded = BigFleet();
   const FleetSimResult baseline = RunOrDie(std::move(unbounded));
   ASSERT_GT(baseline.events_executed, 0);

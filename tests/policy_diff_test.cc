@@ -104,10 +104,6 @@ FleetSimOptions PolicyFleet(uint64_t seed) {
   options.env.namenode.rpc_capacity_per_hour = 200;
   options.driver.sample_interval = 4 * kHour;
   options.driver.retention_interval = kDay;
-  // The pipeline_*_ms host-wall-clock profiling series are the one
-  // legitimately nondeterministic metric family; bit-identity is
-  // asserted over everything else.
-  options.driver.record_host_timings = false;
   StrategyPreset preset;
   preset.scope = ScopeStrategy::kTable;
   preset.k = 5;

@@ -312,9 +312,6 @@ sim::EnvironmentOptions CabEnvOptions(const fault::FaultSchedule& schedule) {
 sim::DriverOptions CabDriverOptions(const SchedulerOptions& scheduler) {
   sim::DriverOptions driver_options;
   driver_options.deferred_compaction = true;
-  // Host wall-clock series would differ between otherwise-identical
-  // runs; every comparison here is about simulated behaviour.
-  driver_options.record_host_timings = false;
   driver_options.scheduler = scheduler;
   return driver_options;
 }
@@ -482,7 +479,6 @@ sim::FleetSimOptions SchedFleet(uint64_t seed) {
   options.env.namenode.rpc_capacity_per_hour = 200;
   options.driver.sample_interval = 4 * kHour;
   options.driver.retention_interval = kDay;
-  options.driver.record_host_timings = false;
   options.driver.deferred_compaction = true;
   sim::StrategyPreset preset;
   preset.scope = sim::ScopeStrategy::kTable;

@@ -375,43 +375,6 @@ TEST(FleetSimulationTest, LazyMatchesEagerReferenceAcrossSeedsShardsAndPools) {
   }
 }
 
-// With a control loop attached the recorder also carries the
-// pipeline_*_ms phase timings, which are *host* wall-clock measurements
-// (they price the OODA loop itself) and thus legitimately differ run to
-// run. Everything simulated must still match bit for bit; compare that
-// deterministic surface explicitly.
-void ExpectSimulatedMetricsEqual(const MetricsRecorder& a,
-                                 const MetricsRecorder& b,
-                                 const std::string& label) {
-  for (const char* series :
-       {"files_total", "compaction_gbhr", "compaction_files_reduced"}) {
-    const auto& sa = a.Series(series);
-    const auto& sb = b.Series(series);
-    ASSERT_EQ(sa.size(), sb.size()) << label << ": " << series;
-    for (size_t i = 0; i < sa.size(); ++i) {
-      EXPECT_EQ(sa[i].time, sb[i].time)
-          << label << ": " << series << " index " << i;
-      EXPECT_EQ(sa[i].value, sb[i].value)
-          << label << ": " << series << " index " << i;
-    }
-  }
-  for (const char* counter :
-       {"compaction_commits", "cluster_conflicts", "write_queries",
-        "write_failures", "client_conflicts", "read_failures",
-        "open_timeouts", "stats_cache_hits", "stats_cache_misses",
-        "stats_index_hits", "stats_index_fallbacks", "compaction_retries",
-        "compaction_abandoned"}) {
-    EXPECT_EQ(a.HourlyCounts(counter), b.HourlyCounts(counter))
-        << label << ": " << counter;
-  }
-  for (const char* metric :
-       {"write_latency_s", "read_latency_s", "compaction_backoff_s"}) {
-    Sample oa = a.AllObservations(metric);
-    Sample ob = b.AllObservations(metric);
-    EXPECT_EQ(oa.values(), ob.values()) << label << ": " << metric;
-  }
-}
-
 // Same bar with the per-lane AutoComp control loop attached: the preset
 // wakes every lane at the trigger cadence, so the lazy path degrades to
 // near-eager scheduling — and its simulated outputs must still match
@@ -440,7 +403,12 @@ TEST(FleetSimulationTest, LazyMatchesEagerWithControlLoop) {
       const FleetSimResult lazy = RunFleetFull(std::move(options));
       const std::string label = "shards=" + std::to_string(shards) +
                                 " workers=" + std::to_string(workers);
-      ExpectSimulatedMetricsEqual(eager.metrics, lazy.metrics, label);
+      // Every driver metric is simulated, so the whole recorder matches.
+      std::string why;
+      EXPECT_TRUE(eager.metrics.Equals(lazy.metrics, &why))
+          << label << ": " << why;
+      EXPECT_EQ(eager.metrics.ContentHash(), lazy.metrics.ContentHash())
+          << label;
       EXPECT_EQ(eager.events_executed, lazy.events_executed) << label;
       EXPECT_EQ(eager.total_files, lazy.total_files) << label;
       EXPECT_EQ(eager.open_calls, lazy.open_calls) << label;

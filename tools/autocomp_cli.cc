@@ -60,9 +60,6 @@ struct Flags {
   bool deferred = true;
   /// Observe/orient fan-out: 0 = hardware concurrency, 1 = sequential.
   int pool_size = 0;
-  bool stats_cache = true;
-  int64_t stats_cache_capacity = core::CachingStatsCollector::kDefaultCapacity;
-  bool stats_index = true;
   /// fleetsim: shard count for the parallel replay driver.
   int sim_shards = 4;
   /// fleetsim: advance shards concurrently (off = sequential reference).
@@ -121,8 +118,7 @@ void PrintUsage() {
       "                    [--policy=SPEC]\n"
       "                    [--k=N] [--budget=GBHR] [--hours=N] [--days=N]\n"
       "                    [--databases=N] [--seed=N] [--no-deferred]\n"
-      "                    [--pool-size=N] [--no-stats-cache]\n"
-      "                    [--stats-cache-capacity=N] [--no-stats-index]\n"
+      "                    [--pool-size=N]\n"
       "                    [--sim-shards=K] [--no-sharded-sim]\n"
       "                    [--lane-mode=active|eager]\n"
       "                    [--max-resident-lanes=N]\n"
@@ -165,17 +161,14 @@ void PrintUsage() {
       "                           the budget dehydrate into in-memory\n"
       "                           checkpoints and restore on their next\n"
       "                           due event (0 = unbounded). Results are\n"
-      "                           bit-identical at any budget\n"
+      "                           bit-identical at any budget. Requires\n"
+      "                           --strategy=none\n"
       "  --evict-after-idle-hours=N  fleetsim: also dehydrate any lane\n"
-      "                           idle for N simulated hours (0 = off)\n"
+      "                           idle for N simulated hours (0 = off);\n"
+      "                           requires --strategy=none\n"
       "  --pool-size=N            pipeline worker threads (0 = all cores,\n"
       "                           1 = sequential); results are identical\n"
       "                           at any setting, only wall-clock changes\n"
-      "  --no-stats-cache         disable the snapshot-keyed stats cache\n"
-      "  --stats-cache-capacity=N LRU entry bound for the stats cache\n"
-      "  --no-stats-index         disable the incremental stats index\n"
-      "                           (ablation: observe rescans manifests;\n"
-      "                           output is identical, only slower)\n"
       "  --scheduler=NAME         fleet maintenance scheduler between\n"
       "                           decide and the deferred executor\n"
       "                           (DESIGN.md §12): fifo (default; each\n"
@@ -250,8 +243,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value_of("--pool-size")) {
       flags->pool_size = std::atoi(v);
-    } else if (const char* v = value_of("--stats-cache-capacity")) {
-      flags->stats_cache_capacity = std::atoll(v);
     } else if (const char* v = value_of("--sim-shards")) {
       flags->sim_shards = std::atoi(v);
     } else if (const char* v = value_of("--lane-mode")) {
@@ -286,10 +277,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->sharded_sim = false;
     } else if (arg == "--no-deferred") {
       flags->deferred = false;
-    } else if (arg == "--no-stats-cache") {
-      flags->stats_cache = false;
-    } else if (arg == "--no-stats-index") {
-      flags->stats_index = false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -429,9 +416,6 @@ std::unique_ptr<core::AutoCompService> MakeService(sim::SimEnvironment* env,
   preset.first_trigger = interval;
   preset.deferred_act = flags.deferred;
   preset.pool = pool;
-  preset.cache_stats = flags.stats_cache;
-  preset.stats_cache_capacity = flags.stats_cache_capacity;
-  preset.use_stats_index = flags.stats_index;
   preset.trace = trace;
   return sim::MakeMoopService(env, preset);
 }
@@ -461,8 +445,6 @@ void PrintSummary(sim::SimEnvironment& env,
   if (service != nullptr) {
     int64_t selected = 0;
     core::PipelinePhaseTimings wall;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
     int64_t index_hits = 0;
     int64_t index_fallbacks = 0;
     for (const core::PipelineRunReport& r : service->history()) {
@@ -472,8 +454,6 @@ void PrintSummary(sim::SimEnvironment& env,
       wall.orient_ms += r.timings.orient_ms;
       wall.decide_ms += r.timings.decide_ms;
       wall.act_ms += r.timings.act_ms;
-      cache_hits += r.stats_cache_hits;
-      cache_misses += r.stats_cache_misses;
       index_hits += r.stats_index_hits;
       index_fallbacks += r.stats_index_fallbacks;
     }
@@ -486,16 +466,6 @@ void PrintSummary(sim::SimEnvironment& env,
     table.AddRow({"  orient (ms)", sim::Fmt(wall.orient_ms, 1)});
     table.AddRow({"  decide (ms)", sim::Fmt(wall.decide_ms, 1)});
     table.AddRow({"  act (ms)", sim::Fmt(wall.act_ms, 1)});
-    if (cache_hits + cache_misses > 0) {
-      table.AddRow({"stats cache hits", std::to_string(cache_hits)});
-      table.AddRow({"stats cache misses", std::to_string(cache_misses)});
-      table.AddRow(
-          {"stats cache hit rate",
-           sim::Fmt(100.0 * static_cast<double>(cache_hits) /
-                        static_cast<double>(cache_hits + cache_misses),
-                    1) +
-               "%"});
-    }
     if (index_hits + index_fallbacks > 0) {
       table.AddRow({"stats index hits", std::to_string(index_hits)});
       table.AddRow(
@@ -729,6 +699,15 @@ int RunFleetSim(const Flags& flags) {
                  flags.lane_mode.c_str());
     return 2;
   }
+  if (flags.strategy != "none" &&
+      (flags.max_resident_lanes > 0 || flags.evict_after_idle_hours > 0)) {
+    // Lane services are not checkpointed, so the evictor cannot run
+    // under a control loop; refuse rather than ignore the budget.
+    std::fprintf(stderr,
+                 "--max-resident-lanes/--evict-after-idle-hours require "
+                 "--strategy=none\n");
+    return 2;
+  }
   auto env_options = EnvOptionsFor(flags);
   if (!env_options.ok()) {
     std::fprintf(stderr, "%s\n", env_options.status().ToString().c_str());
@@ -763,9 +742,6 @@ int RunFleetSim(const Flags& flags) {
     preset.trigger_interval = kDay;
     preset.first_trigger = kDay;
     preset.deferred_act = flags.deferred;
-    preset.cache_stats = flags.stats_cache;
-    preset.stats_cache_capacity = flags.stats_cache_capacity;
-    preset.use_stats_index = flags.stats_index;
     options.driver.deferred_compaction = flags.deferred;
     options.preset = preset;
   }
