@@ -170,7 +170,8 @@ void IncrementalStatsIndex::ApplyDeltaLocked(
   // Removals first, judged against the OLD watermark: a removed file was
   // fresh iff it was added after the replace snapshot that preceded this
   // commit.
-  for (const lst::DataFile& f : delta.removed) {
+  for (const lst::DataFile* removed : delta.removed) {
+    const lst::DataFile& f = *removed;
     const common::PartitionId pid =
         entry->partition_names.Intern(f.partition);
     const bool was_fresh =
@@ -197,7 +198,7 @@ void IncrementalStatsIndex::ApplyDeltaLocked(
     entry->fresh.Clear();
   }
 
-  for (const lst::DataFile& f : delta.added) {
+  for (const lst::DataFile& f : delta.added()) {
     const common::PartitionId pid =
         entry->partition_names.Intern(f.partition);
     entry->live.Add(pid, f);

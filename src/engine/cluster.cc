@@ -13,33 +13,42 @@ Cluster::Cluster(std::string name, ClusterOptions options, const Clock* clock)
   assert(clock_ != nullptr);
   assert(options_.executors > 0 && options_.cores_per_executor > 0);
   slot_free_at_.assign(static_cast<size_t>(total_slots()), 0.0);
+  RebuildHeap();
+}
+
+void Cluster::RebuildHeap() {
+  slot_heap_.clear();
+  slot_heap_.reserve(slot_free_at_.size());
+  for (size_t i = 0; i < slot_free_at_.size(); ++i) {
+    slot_heap_.emplace_back(slot_free_at_[i], i);
+  }
+  std::make_heap(slot_heap_.begin(), slot_heap_.end(), std::greater<>());
 }
 
 TaskBagResult Cluster::RunTasks(SimTime submit_time,
-                                const std::vector<double>& task_seconds) {
+                                std::vector<double> task_seconds) {
   TaskBagResult result;
   result.start_time = submit_time;
   result.end_time = submit_time;
   if (task_seconds.empty()) return result;
 
   // Longest-processing-time-first placement.
-  std::vector<double> tasks = task_seconds;
-  std::sort(tasks.begin(), tasks.end(), std::greater<double>());
+  std::sort(task_seconds.begin(), task_seconds.end(), std::greater<double>());
 
   const double submit = static_cast<double>(submit_time);
   double first_start = std::numeric_limits<double>::max();
   double last_end = submit;
-  for (double duration : tasks) {
+  for (double duration : task_seconds) {
     duration = std::max(0.0, duration);
     // Earliest-available slot; ties resolved by index (deterministic).
-    size_t best = 0;
-    for (size_t i = 1; i < slot_free_at_.size(); ++i) {
-      if (slot_free_at_[i] < slot_free_at_[best]) best = i;
-    }
-    const double start = std::max(submit, slot_free_at_[best]);
+    std::pop_heap(slot_heap_.begin(), slot_heap_.end(), std::greater<>());
+    SlotKey& best = slot_heap_.back();
+    const double start = std::max(submit, best.first);
     result.queue_wait_seconds += start - submit;
     const double end = start + duration;
-    slot_free_at_[best] = end;
+    best.first = end;
+    slot_free_at_[best.second] = end;
+    std::push_heap(slot_heap_.begin(), slot_heap_.end(), std::greater<>());
     result.busy_seconds += duration;
     first_start = std::min(first_start, start);
     last_end = std::max(last_end, end);
@@ -62,6 +71,7 @@ double Cluster::GbHoursFor(double busy_seconds) const {
 void Cluster::Reset() {
   const double now = static_cast<double>(clock_->Now());
   std::fill(slot_free_at_.begin(), slot_free_at_.end(), now);
+  RebuildHeap();
 }
 
 }  // namespace autocomp::engine

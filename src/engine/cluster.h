@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/blob.h"
@@ -79,9 +80,12 @@ class Cluster {
 
   /// Schedules `task_seconds` on the earliest-available slots, no earlier
   /// than `submit_time`. Longest tasks are placed first (LPT), matching
-  /// how a fair scheduler amortises stragglers. Deterministic.
+  /// how a fair scheduler amortises stragglers. Deterministic: each task
+  /// takes the slot with the smallest free time, the lowest index on ties,
+  /// found in O(log slots) through a min-heap kept beside the slot times.
+  /// Sorts `task_seconds` in place: callers move their task list in.
   TaskBagResult RunTasks(SimTime submit_time,
-                         const std::vector<double>& task_seconds);
+                         std::vector<double> task_seconds);
 
   /// GB-hours consumed by an occupation of `busy_seconds` of slot time:
   /// memory attributed per-core for the occupied duration.
@@ -110,15 +114,24 @@ class Cluster {
     for (double& t : slot_free_at_) t = r->ReadF64();
     total_gb_hours_ = r->ReadF64();
     total_busy_seconds_ = r->ReadF64();
+    RebuildHeap();
   }
   /// @}
 
  private:
+  /// (free time, slot index); the heap's top is the lexicographic minimum,
+  /// i.e. the slot a linear scan for the earliest free time would pick.
+  using SlotKey = std::pair<double, size_t>;
+
+  void RebuildHeap();
+
   std::string name_;
   ClusterOptions options_;
   const Clock* clock_;
   /// Next free time per slot, in fractional seconds.
   std::vector<double> slot_free_at_;
+  /// Min-heap over slot_free_at_, updated with every placement.
+  std::vector<SlotKey> slot_heap_;
   double total_gb_hours_ = 0;
   double total_busy_seconds_ = 0;
 };

@@ -88,29 +88,30 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   // partitions carrying MoR delete files, ALL data files are rewritten
   // (Iceberg can only drop a delete file once every data file it may
   // reference has been rewritten) and the delete files fold away.
-  std::map<std::string, std::vector<lst::DataFile>> in_scope;
+  // The selection points into `meta`, which the transaction pins.
+  std::map<std::string, std::vector<const lst::DataFile*>> in_scope;
   meta->ForEachLiveFile(
       [&](const lst::DataFile& f) {
         if (f.added_snapshot_id <= request.after_snapshot_id &&
             request.after_snapshot_id != 0) {
           return;
         }
-        in_scope[f.partition].push_back(f);
+        in_scope[f.partition].push_back(&f);
       },
       request.partition);
-  std::vector<lst::DataFile> inputs;              // data files to rewrite
-  std::vector<lst::DataFile> delete_inputs;       // MoR delta files to fold
-  std::map<std::string, int64_t> deleted_records; // per partition
+  std::vector<const lst::DataFile*> inputs;        // data files to rewrite
+  std::vector<const lst::DataFile*> delete_inputs; // MoR delta files to fold
+  std::map<std::string, int64_t> deleted_records;  // per partition
   for (const auto& [partition, files] : in_scope) {
     const bool has_deletes = std::any_of(
-        files.begin(), files.end(), [](const lst::DataFile& f) {
-          return f.content == lst::FileContent::kPositionDeletes;
+        files.begin(), files.end(), [](const lst::DataFile* f) {
+          return f->content == lst::FileContent::kPositionDeletes;
         });
-    for (const lst::DataFile& f : files) {
-      if (f.content == lst::FileContent::kPositionDeletes) {
+    for (const lst::DataFile* f : files) {
+      if (f->content == lst::FileContent::kPositionDeletes) {
         delete_inputs.push_back(f);
-        deleted_records[partition] += f.record_count;
-      } else if (has_deletes || f.file_size_bytes < small_cutoff) {
+        deleted_records[partition] += f->record_count;
+      } else if (has_deletes || f->file_size_bytes < small_cutoff) {
         inputs.push_back(f);
       }
     }
@@ -120,7 +121,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
     if (trace_ != nullptr) {
       trace_->EndSpan(trace_span, submit_time, 0, "outcome=skipped");
     }
-    return PendingCompaction{request, std::move(txn), {}, std::move(result)};
+    return PendingCompaction{request, std::move(txn), std::move(result)};
   }
   result.attempted = true;
 
@@ -129,8 +130,8 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   std::map<std::string, double> survival;
   {
     std::map<std::string, int64_t> data_records;
-    for (const lst::DataFile& f : inputs) {
-      data_records[f.partition] += f.record_count;
+    for (const lst::DataFile* f : inputs) {
+      data_records[f->partition] += f->record_count;
     }
     for (const auto& [partition, records] : data_records) {
       const int64_t deleted = deleted_records.count(partition) > 0
@@ -149,15 +150,15 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   // compaction's storage saving comes from.
   std::vector<int64_t> logical_sizes;
   logical_sizes.reserve(inputs.size());
-  for (const lst::DataFile& f : inputs) {
-    const double keep = survival.at(f.partition);
+  for (const lst::DataFile* f : inputs) {
+    const double keep = survival.at(f->partition);
     logical_sizes.push_back(static_cast<int64_t>(std::llround(
         keep * std::max<int64_t>(
-                   1, format_.LogicalBytesForStored(f.file_size_bytes)))));
-    result.bytes_rewritten += f.file_size_bytes;
+                   1, format_.LogicalBytesForStored(f->file_size_bytes)))));
+    result.bytes_rewritten += f->file_size_bytes;
   }
-  for (const lst::DataFile& f : delete_inputs) {
-    result.bytes_rewritten += f.file_size_bytes;
+  for (const lst::DataFile* f : delete_inputs) {
+    result.bytes_rewritten += f->file_size_bytes;
   }
   result.files_rewritten =
       static_cast<int64_t>(inputs.size() + delete_inputs.size());
@@ -169,7 +170,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
       std::max<int64_t>(1, format_.LogicalBytesForStored(target));
   std::map<std::string, std::vector<size_t>> by_partition;
   for (size_t i = 0; i < inputs.size(); ++i) {
-    by_partition[inputs[i].partition].push_back(i);
+    by_partition[inputs[i]->partition].push_back(i);
   }
   std::vector<format::Bin> bins;
   for (const auto& [partition, indices] : by_partition) {
@@ -194,11 +195,10 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   // Read inputs (RPC accounting; timeouts add retry latency).
   storage::DistributedFileSystem* dfs = catalog_->filesystem();
   double timeout_penalty = 0;
-  for (const lst::DataFile& f : inputs) {
-    auto opened = dfs->Open(f.path);
-    if (!opened.ok() && opened.status().IsTimedOut()) {
+  for (const lst::DataFile* f : inputs) {
+    if (dfs->Open(f->path).IsTimedOut()) {
       timeout_penalty += cluster_->options().timeout_retry_seconds;
-      (void)dfs->Open(f.path);
+      (void)dfs->Open(f->path);
     }
   }
 
@@ -209,16 +209,17 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   // file is deleted, leaving no orphans — then re-writes them after a
   // deterministic backoff, up to the policy's attempt budget.
   std::vector<lst::DataFile> outputs;
+  outputs.reserve(bins.size());  // at most one output per bin
   std::vector<std::string> replaced;
   replaced.reserve(inputs.size() + delete_inputs.size());
-  for (const lst::DataFile& f : inputs) replaced.push_back(f.path);
-  for (const lst::DataFile& f : delete_inputs) replaced.push_back(f.path);
+  for (const lst::DataFile* f : inputs) replaced.push_back(f->path);
+  for (const lst::DataFile* f : delete_inputs) replaced.push_back(f->path);
   for (int write_attempt = 1;; ++write_attempt) {
     for (const format::Bin& bin : bins) {
       int64_t logical = 0;
       int64_t records = 0;
       for (size_t idx : bin.item_indices) {
-        const lst::DataFile& in = inputs[idx];
+        const lst::DataFile& in = *inputs[idx];
         logical += logical_sizes[idx];
         records += static_cast<int64_t>(std::llround(
             survival.at(in.partition) *
@@ -228,18 +229,22 @@ Result<PendingCompaction> CompactionRunner::Prepare(
       lst::DataFile out;
       // All items in a bin share one partition by construction.
       const std::string& partition =
-          inputs[bin.item_indices.front()].partition;
+          inputs[bin.item_indices.front()]->partition;
+      // The manifest keeps this string for the file's lifetime, so the
+      // buffer is sized exactly.
       std::string& path = out.path;
       const std::string& location = meta->location();
-      path.reserve(location.size() + partition.size() + path_stem_.size() +
-                   32);
+      const std::string counter = std::to_string(++file_counter_);
+      path.reserve(location.size() +
+                   (partition.empty() ? 0 : partition.size() + 1) +
+                   path_stem_.size() + counter.size() + 8);
       path.assign(location);
       if (!partition.empty()) {
         path += '/';
         path += partition;
       }
       path += path_stem_;
-      path += std::to_string(++file_counter_);
+      path += counter;
       path += ".parquet";
       out.partition = partition;
       out.clustered = request.cluster_output;
@@ -262,8 +267,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
           trace_->EndSpan(trace_span, submit_time, 0,
                           "outcome=abandoned;reason=create_failed");
         }
-        return PendingCompaction{request, std::move(txn), {},
-                                 std::move(result)};
+        return PendingCompaction{request, std::move(txn), std::move(result)};
       }
       result.bytes_produced += out.file_size_bytes;
       outputs.push_back(std::move(out));
@@ -289,8 +293,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
         trace_->EndSpan(trace_span, submit_time, 0,
                         "outcome=abandoned;reason=crash_retries_exhausted");
       }
-      return PendingCompaction{request, std::move(txn), {},
-                               std::move(result)};
+      return PendingCompaction{request, std::move(txn), std::move(result)};
     }
     const double backoff = retry_policy_.BackoffSeconds(
         CounterRng::Mix(CounterRng::HashString(request.table)) ^
@@ -309,14 +312,17 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   }
   result.files_produced = static_cast<int64_t>(outputs.size());
 
-  const Status staged = txn.RewriteFiles(replaced, outputs);
+  // The outputs move into the transaction: Finalize and Abandon read
+  // them back from it to clean up a lost unit.
+  const Status staged =
+      txn.RewriteFiles(std::move(replaced), std::move(outputs));
   if (!staged.ok()) {
     result.status = staged;
     result.attempted = false;
     if (trace_ != nullptr) {
       trace_->EndSpan(trace_span, submit_time, 0, "outcome=stage_failed");
     }
-    return PendingCompaction{request, std::move(txn), {}, std::move(result)};
+    return PendingCompaction{request, std::move(txn), std::move(result)};
   }
 
   // One compaction work unit runs as one Spark job on one executor:
@@ -335,7 +341,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
       (cluster_->options().rewrite_bytes_per_hour / 3600.0);
   const int job_slots = cluster_->options().cores_per_executor;
   std::vector<double> tasks(static_cast<size_t>(job_slots), wall_seconds);
-  const TaskBagResult bag = cluster_->RunTasks(submit_time, tasks);
+  const TaskBagResult bag = cluster_->RunTasks(submit_time, std::move(tasks));
 
   result.duration_seconds =
       static_cast<double>(bag.end_time - submit_time) + timeout_penalty;
@@ -347,8 +353,8 @@ Result<PendingCompaction> CompactionRunner::Prepare(
       layout_factor * cluster_->total_memory_gb() *
       (static_cast<double>(result.bytes_rewritten + result.bytes_produced) /
        cluster_->options().rewrite_bytes_per_hour);
-  return PendingCompaction{request, std::move(txn), std::move(outputs),
-                           std::move(result), trace_span};
+  return PendingCompaction{request, std::move(txn), std::move(result),
+                           trace_span};
 }
 
 CompactionResult CompactionRunner::Finalize(PendingCompaction&& pending) {
@@ -418,7 +424,7 @@ CompactionResult CompactionRunner::Finalize(PendingCompaction&& pending) {
   }
   // Clean up outputs; the rewrite is lost.
   storage::DistributedFileSystem* dfs = catalog_->filesystem();
-  for (const lst::DataFile& created : pending.outputs) {
+  for (const lst::DataFile& created : txn.added_files()) {
     (void)dfs->DeleteFile(created.path);
   }
   result.conflict = failure.IsCommitConflict();
@@ -444,7 +450,7 @@ CompactionResult CompactionRunner::Abandon(PendingCompaction&& pending,
   // Delete the staged outputs; the dropped transaction needs no further
   // cleanup (it never committed, so nothing references them).
   storage::DistributedFileSystem* dfs = catalog_->filesystem();
-  for (const lst::DataFile& created : pending.outputs) {
+  for (const lst::DataFile& created : pending.transaction.added_files()) {
     (void)dfs->DeleteFile(created.path);
   }
   result.committed = false;

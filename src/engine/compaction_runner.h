@@ -107,8 +107,8 @@ struct CompactionResult {
 /// everything that committed in between.
 struct PendingCompaction {
   CompactionRequest request;
+  /// Holds the staged outputs (Transaction::added_files) until commit.
   lst::Transaction transaction;
-  std::vector<lst::DataFile> outputs;
   CompactionResult result;  // filled except commit outcome
   /// Open "runner.unit" trace span handle; Finalize closes it with the
   /// commit outcome (0 when tracing is off or the unit ended in Prepare).

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -32,10 +33,30 @@ QueryEngine::QueryEngine(Cluster* cluster, catalog::Catalog* catalog,
 std::string QueryEngine::NewFilePath(const lst::TableMetadata& meta,
                                      const std::string& partition,
                                      const char* op) {
-  std::string dir = meta.location();
-  if (!partition.empty()) dir += "/" + partition;
-  return dir + "/" + op + "-w" + std::to_string(writer_id_) + "-" +
-         std::to_string(++file_counter_) + ".parquet";
+  // "<location>[/<partition>]/<op>-w<writer>-<counter>.parquet", built in
+  // one buffer sized exactly: the manifest keeps it for the file's
+  // lifetime. The two numbers fit the small-string buffer, so they
+  // allocate nothing.
+  const std::string writer = std::to_string(writer_id_);
+  const std::string counter = std::to_string(++file_counter_);
+  const std::string& location = meta.location();
+  std::string path;
+  path.reserve(location.size() +
+               (partition.empty() ? 0 : partition.size() + 1) + 1 +
+               std::strlen(op) + 2 + writer.size() + 1 + counter.size() + 8);
+  path += location;
+  if (!partition.empty()) {
+    path += '/';
+    path += partition;
+  }
+  path += '/';
+  path += op;
+  path += "-w";
+  path += writer;
+  path += '-';
+  path += counter;
+  path += ".parquet";
+  return path;
 }
 
 Result<QueryResult> QueryEngine::ExecuteRead(
@@ -58,13 +79,11 @@ Result<QueryResult> QueryEngine::ExecuteRead(
   // the client pays a retry penalty.
   double timeout_penalty = 0;
   storage::DistributedFileSystem* dfs = catalog_->filesystem();
-  for (const lst::DataFile& f : plan.files) {
-    auto opened = dfs->Open(f.path);
-    if (!opened.ok() && opened.status().IsTimedOut()) {
+  for (const lst::DataFile* f : plan.files) {
+    if (dfs->Open(f->path).IsTimedOut()) {
       ++result.open_timeouts;
       timeout_penalty += copts.timeout_retry_seconds;
-      opened = dfs->Open(f.path);  // client retry
-      if (!opened.ok() && opened.status().IsTimedOut()) {
+      if (dfs->Open(f->path).IsTimedOut()) {  // client retry
         ++result.open_timeouts;
         timeout_penalty += copts.timeout_retry_seconds;
       }
@@ -75,7 +94,8 @@ Result<QueryResult> QueryEngine::ExecuteRead(
   // and MoR delete files add a merge penalty on top of their own read.
   std::vector<double> tasks;
   tasks.reserve(plan.files.size());
-  for (const lst::DataFile& f : plan.files) {
+  for (const lst::DataFile* file : plan.files) {
+    const lst::DataFile& f = *file;
     // Clustered files support row-group skipping: only the selected
     // fraction of the file's bytes is read.
     const int64_t effective_bytes =
@@ -106,7 +126,7 @@ Result<QueryResult> QueryEngine::ExecuteRead(
   const SimTime exec_submit =
       submit_time + static_cast<SimTime>(std::llround(
                         result.planning_seconds + timeout_penalty));
-  const TaskBagResult bag = cluster_->RunTasks(exec_submit, tasks);
+  const TaskBagResult bag = cluster_->RunTasks(exec_submit, std::move(tasks));
   result.queue_wait_seconds = bag.queue_wait_seconds;
   result.execution_seconds =
       static_cast<double>(bag.end_time - exec_submit) + timeout_penalty;
@@ -137,11 +157,11 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
   // live files in the touched partitions. MoR deletes replace nothing.
   std::vector<std::string> replaced;
   if (spec.kind != WriteKind::kAppend && spec.kind != WriteKind::kMorDelete) {
-    // Only the paths are needed; visit manifests in place instead of
-    // materializing DataFile copies per write.
-    std::vector<std::string> pool;
+    // The victim pool points into the pinned metadata: only the chosen
+    // victims' paths are copied.
+    std::vector<const lst::DataFile*> pool;
     const auto collect = [&pool](const lst::DataFile& f) {
-      pool.push_back(f.path);
+      pool.push_back(&f);
     };
     if (spec.partitions.empty()) {
       meta->ForEachLiveFile(collect);
@@ -154,11 +174,11 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
         static_cast<double>(pool.size()) * spec.replace_fraction));
     for (size_t i = 0; i < pool.size() && replaced.size() < want; ++i) {
       if (rng_.Bernoulli(spec.replace_fraction * 2)) {
-        replaced.push_back(pool[i]);
+        replaced.push_back(pool[i]->path);
       }
     }
     if (replaced.empty() && !pool.empty() && want > 0) {
-      replaced.push_back(pool.front());
+      replaced.push_back(pool.front()->path);
     }
   }
 
@@ -188,27 +208,8 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
     added.push_back(std::move(df));
   }
 
-  // Stage and commit the transaction.
-  AUTOCOMP_ASSIGN_OR_RETURN(lst::Transaction txn,
-                            handle.NewTransaction(options_.validation_mode));
-  switch (spec.kind) {
-    case WriteKind::kAppend:
-    case WriteKind::kMorDelete:  // delta files are appended, never replace
-      AUTOCOMP_RETURN_NOT_OK(txn.Append(added));
-      break;
-    case WriteKind::kOverwrite:
-      AUTOCOMP_RETURN_NOT_OK(txn.Overwrite(replaced, added));
-      break;
-    case WriteKind::kDelete:
-      if (replaced.empty()) {
-        return Status::FailedPrecondition("nothing to delete in " +
-                                          spec.table);
-      }
-      AUTOCOMP_RETURN_NOT_OK(txn.DeleteFiles(replaced));
-      break;
-  }
-
-  // Cost model: write bytes at amplified scan cost across tasks.
+  // Cost model: write bytes at amplified scan cost across tasks. Built
+  // before staging, which moves the new files into the transaction.
   std::vector<double> tasks;
   tasks.reserve(added.size() + 1);
   const ClusterOptions& copts = cluster_->options();
@@ -219,14 +220,37 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
                         copts.scan_bytes_per_second);
   }
   if (tasks.empty()) tasks.push_back(copts.open_seconds_per_file);
-  const TaskBagResult bag = cluster_->RunTasks(submit_time, tasks);
+  const auto files_written = static_cast<int64_t>(added.size());
+
+  // Stage and commit the transaction.
+  AUTOCOMP_ASSIGN_OR_RETURN(lst::Transaction txn,
+                            handle.NewTransaction(options_.validation_mode));
+  switch (spec.kind) {
+    case WriteKind::kAppend:
+    case WriteKind::kMorDelete:  // delta files are appended, never replace
+      AUTOCOMP_RETURN_NOT_OK(txn.Append(std::move(added)));
+      break;
+    case WriteKind::kOverwrite:
+      AUTOCOMP_RETURN_NOT_OK(
+          txn.Overwrite(std::move(replaced), std::move(added)));
+      break;
+    case WriteKind::kDelete:
+      if (replaced.empty()) {
+        return Status::FailedPrecondition("nothing to delete in " +
+                                          spec.table);
+      }
+      AUTOCOMP_RETURN_NOT_OK(txn.DeleteFiles(std::move(replaced)));
+      break;
+  }
+
+  const TaskBagResult bag = cluster_->RunTasks(submit_time, std::move(tasks));
 
   auto committed = txn.CommitWithRetries(spec.max_commit_retries);
   if (!committed.ok()) {
     if (committed.status().IsCommitConflict()) {
       // Lost the race: the job fails client-side and its output files are
       // garbage-collected.
-      for (const lst::DataFile& created : added) {
+      for (const lst::DataFile& created : txn.added_files()) {
         (void)dfs->DeleteFile(created.path);
       }
       result.conflict_failed = true;
@@ -239,8 +263,8 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
   }
   result.commit_retries = committed->retries;
   result.snapshot_id = committed->snapshot_id;
-  result.files_written = static_cast<int64_t>(added.size());
-  result.files_replaced = static_cast<int64_t>(replaced.size());
+  result.files_written = files_written;
+  result.files_replaced = static_cast<int64_t>(txn.replaced_paths().size());
   result.total_seconds = static_cast<double>(bag.end_time - submit_time) +
                          3.0 * committed->retries;  // retry round-trips
   result.gb_hours = cluster_->GbHoursFor(bag.busy_seconds);

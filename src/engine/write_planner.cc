@@ -32,6 +32,8 @@ std::vector<PlannedFile> PlanWriteFiles(
   assert(rng != nullptr);
   std::vector<PlannedFile> out;
   if (logical_bytes <= 0) return out;
+  out.reserve(static_cast<size_t>(
+      PlannedFileCount(logical_bytes, partitions.size(), profile, format)));
 
   const std::vector<std::string> parts =
       partitions.empty() ? std::vector<std::string>{""} : partitions;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "lst/data_file.h"
+#include "lst/manifest.h"
 #include "lst/snapshot.h"
 
 namespace autocomp::lst {
@@ -33,13 +34,24 @@ struct CommitDelta {
   /// Snapshot produced by the commit (0 when unknown).
   int64_t snapshot_id = 0;
   SnapshotOperation operation = SnapshotOperation::kAppend;
-  /// Files that joined the live set, stamped with their snapshot id and
-  /// sequence number (full descriptors: partition, size, content, ...).
-  std::vector<DataFile> added;
+  /// The manifest the commit built for the files that joined the live
+  /// set, stamped with their snapshot id and sequence number (full
+  /// descriptors: partition, size, content, ...). The delta shares it
+  /// with the new snapshot instead of copying the files; nullptr when the
+  /// commit added nothing.
+  ManifestPtr added_manifest;
   /// Files that left the live set, with the descriptors they had while
   /// live (Snapshot::removed_paths keeps only paths; incremental
-  /// consumers need partition and size to reverse the aggregates).
-  std::vector<DataFile> removed;
+  /// consumers need partition and size to reverse the aggregates). They
+  /// point into the manifests of the version the commit replaced, which
+  /// the committing transaction pins while the delta is delivered.
+  std::vector<const DataFile*> removed;
+
+  /// The added files (empty when the commit added none).
+  const std::vector<DataFile>& added() const {
+    static const std::vector<DataFile> kNone;
+    return added_manifest != nullptr ? added_manifest->files() : kNone;
+  }
 };
 
 }  // namespace autocomp::lst

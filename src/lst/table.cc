@@ -25,19 +25,25 @@ Result<Transaction> Table::NewTransaction(ValidationMode mode) const {
 
 Result<ScanPlan> Table::PlanScan(
     const std::optional<std::string>& partition) const {
-  AUTOCOMP_ASSIGN_OR_RETURN(TableMetadataPtr meta, Metadata());
   ScanPlan plan;
-  const Snapshot* snap = meta->current_snapshot();
+  AUTOCOMP_ASSIGN_OR_RETURN(plan.metadata, Metadata());
+  const Snapshot* snap = plan.metadata->current_snapshot();
   if (snap == nullptr) return plan;
   plan.snapshot_id = snap->snapshot_id;
+  size_t upper_bound = 0;
   for (const ManifestPtr& m : snap->manifests) {
     if (partition && !m->ContainsPartition(*partition)) continue;  // pruned
     ++plan.manifests_scanned;
+    upper_bound += m->files().size();
+  }
+  plan.files.reserve(upper_bound);
+  for (const ManifestPtr& m : snap->manifests) {
+    if (partition && !m->ContainsPartition(*partition)) continue;
     for (const DataFile& f : m->files()) {
       if (partition && f.partition != *partition) continue;
       plan.total_bytes += f.file_size_bytes;
       plan.total_records += f.record_count;
-      plan.files.push_back(f);
+      plan.files.push_back(&f);
     }
   }
   return plan;

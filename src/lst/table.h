@@ -14,8 +14,13 @@
 namespace autocomp::lst {
 
 /// \brief Result of scan planning: the files a query must read.
+///
+/// `files` points into the manifests of `metadata`, which the plan pins:
+/// planning copies no DataFile, and the pointers stay valid for the
+/// plan's lifetime whatever commits land meanwhile.
 struct ScanPlan {
-  std::vector<DataFile> files;
+  TableMetadataPtr metadata;
+  std::vector<const DataFile*> files;
   int64_t total_bytes = 0;
   int64_t total_records = 0;
   /// Manifests inspected during planning — planning cost grows with

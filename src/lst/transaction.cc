@@ -49,13 +49,21 @@ Status Transaction::EnsureOperation(SnapshotOperation op) {
   return Status::OK();
 }
 
+void Transaction::StageAdded(std::vector<DataFile>&& files) {
+  if (added_.empty()) {
+    added_ = std::move(files);
+    return;
+  }
+  added_.insert(added_.end(), std::make_move_iterator(files.begin()),
+                std::make_move_iterator(files.end()));
+}
+
 Status Transaction::Append(std::vector<DataFile> files) {
   AUTOCOMP_RETURN_NOT_OK(EnsureOperation(SnapshotOperation::kAppend));
   if (files.empty()) {
     return Status::InvalidArgument("append requires at least one file");
   }
-  added_.insert(added_.end(), std::make_move_iterator(files.begin()),
-                std::make_move_iterator(files.end()));
+  StageAdded(std::move(files));
   return Status::OK();
 }
 
@@ -65,8 +73,7 @@ Status Transaction::Overwrite(std::vector<std::string> replaced_paths,
   replaced_paths_.insert(replaced_paths_.end(),
                          std::make_move_iterator(replaced_paths.begin()),
                          std::make_move_iterator(replaced_paths.end()));
-  added_.insert(added_.end(), std::make_move_iterator(added.begin()),
-                std::make_move_iterator(added.end()));
+  StageAdded(std::move(added));
   return Status::OK();
 }
 
@@ -79,8 +86,7 @@ Status Transaction::RewriteFiles(std::vector<std::string> replaced_paths,
   replaced_paths_.insert(replaced_paths_.end(),
                          std::make_move_iterator(replaced_paths.begin()),
                          std::make_move_iterator(replaced_paths.end()));
-  added_.insert(added_.end(), std::make_move_iterator(added.begin()),
-                std::make_move_iterator(added.end()));
+  StageAdded(std::move(added));
   return Status::OK();
 }
 
@@ -171,7 +177,7 @@ Status Transaction::ValidateAgainst(const TableMetadata& current,
 
 Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
                                             const StagedPathSet& staged,
-                                            CommitDelta* delta) const {
+                                            CommitDelta* delta) {
   TableMetadata::Builder builder(current);
   Snapshot snap;
   snap.snapshot_id = builder.AllocateSnapshotId();
@@ -183,7 +189,7 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
   delta->known = true;
   delta->snapshot_id = snap.snapshot_id;
   delta->operation = operation_;
-  delta->added.clear();
+  delta->added_manifest = nullptr;
   delta->removed.clear();
 
   const Snapshot* base_snap = current.current_snapshot();
@@ -211,7 +217,7 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
           snap.deleted_bytes += f.file_size_bytes;
           snap.touched_partitions.insert(f.partition);
           removed->insert(f.path);
-          delta->removed.push_back(f);
+          delta->removed.push_back(&f);
         } else {
           kept.push_back(f);
         }
@@ -230,8 +236,7 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
   }
 
   if (!added_.empty()) {
-    std::vector<DataFile> stamped = added_;
-    for (DataFile& f : stamped) {
+    for (DataFile& f : added_) {
       f.added_snapshot_id = snap.snapshot_id;
       f.sequence_number = snap.sequence_number;
       snap.added_files += 1;
@@ -239,8 +244,10 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
       snap.added_records += f.record_count;
       snap.touched_partitions.insert(f.partition);
     }
-    delta->added = stamped;
-    manifests.push_back(builder.NewManifest(std::move(stamped)));
+    // The staged files move into the manifest; the delta shares it.
+    delta->added_manifest = builder.NewManifest(std::move(added_));
+    added_.clear();
+    manifests.push_back(delta->added_manifest);
   }
 
   const int64_t max_manifests =
@@ -298,13 +305,19 @@ Result<CommitResult> Transaction::CommitInternal(bool* cas_race) {
         break;
     }
   }
+  const size_t added_count = added_.size();
   CommitDelta delta;
-  AUTOCOMP_ASSIGN_OR_RETURN(TableMetadataPtr next,
-                            Apply(*current, staged, &delta));
+  Result<TableMetadataPtr> applied = Apply(*current, staged, &delta);
+  if (!applied.ok()) {
+    RestoreAdded(delta);
+    return applied.status();
+  }
+  TableMetadataPtr next = std::move(applied).value();
   const Status cas = store_->CommitTableWithDelta(table_name_,
                                                   current->version(), next,
                                                   delta);
   if (!cas.ok()) {
+    RestoreAdded(delta);
     // A CAS failure means another commit landed between our load and our
     // swap; the caller may rebase and retry.
     *cas_race = cas.IsCommitConflict();
@@ -324,9 +337,15 @@ Result<CommitResult> Transaction::CommitInternal(bool* cas_race) {
                     "table=" + table_name_ + ";op=" +
                         SnapshotOperationName(operation_) + ";snapshot=" +
                         std::to_string(result.snapshot_id),
-                    static_cast<double>(added_.size()));
+                    static_cast<double>(added_count));
   }
   return result;
+}
+
+void Transaction::RestoreAdded(const CommitDelta& delta) {
+  // Only a lost attempt lands here (a CAS race before a retry, or a store
+  // failure), so the copy stays off the successful commit path.
+  if (delta.added_manifest != nullptr) added_ = delta.added_manifest->files();
 }
 
 Result<CommitResult> Transaction::Commit() {

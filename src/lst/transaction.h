@@ -99,6 +99,12 @@ class Transaction {
   /// rebase-and-retry, validation rejections abandon.
   const ConflictInfo& last_conflict() const { return last_conflict_; }
 
+  /// Files the staged operation adds, as staged. A lost commit leaves
+  /// them here (a failed attempt puts them back), so a caller cleaning up
+  /// the outputs of a lost commit reads them from the transaction; after
+  /// a successful commit they live in the new manifest and this is empty.
+  const std::vector<DataFile>& added_files() const { return added_; }
+
   /// Paths the staged operation removes from the live set. The runner's
   /// pre-retry re-validation checks these are still live before paying
   /// for another commit attempt.
@@ -112,6 +118,9 @@ class Transaction {
   using StagedPathSet = std::unordered_set<std::string_view>;
 
   Status EnsureOperation(SnapshotOperation op);
+  /// Appends `files` to added_, taking the buffer whole when nothing is
+  /// staged yet.
+  void StageAdded(std::vector<DataFile>&& files);
   /// Records `kind` + `detail` into last_conflict_ and returns the
   /// matching CommitConflict Status (single exit for all conflict paths).
   Status Conflict(ConflictKind kind, const std::string& detail) const;
@@ -126,10 +135,14 @@ class Transaction {
   /// Records the exact live-set change into `*delta` (added files as
   /// stamped, removed files with their live descriptors) — the commit
   /// hands it to MetadataStore::CommitTableWithDelta so incremental
-  /// consumers avoid rescanning the table.
+  /// consumers avoid rescanning the table. The staged files move into
+  /// the new manifest (`delta->added_manifest`); a caller whose attempt
+  /// fails after Apply puts them back with RestoreAdded.
   Result<TableMetadataPtr> Apply(const TableMetadata& current,
                                  const StagedPathSet& staged,
-                                 CommitDelta* delta) const;
+                                 CommitDelta* delta);
+  /// Re-stages the files Apply moved into `delta.added_manifest`.
+  void RestoreAdded(const CommitDelta& delta);
 
   MetadataStore* store_;
   std::string table_name_;

@@ -61,7 +61,7 @@ Status DistributedFileSystem::DeleteFile(const std::string& path) {
   return shards_[static_cast<size_t>(ShardFor(path))]->DeleteFile(path);
 }
 
-Result<FileInfo> DistributedFileSystem::Open(const std::string& path) {
+Status DistributedFileSystem::Open(const std::string& path) {
   return shards_[static_cast<size_t>(ShardFor(path))]->Open(path);
 }
 

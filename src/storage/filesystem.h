@@ -33,7 +33,7 @@ class DistributedFileSystem {
   Status CreateFile(const std::string& path, int64_t size_bytes,
                     int64_t record_count);
   Status DeleteFile(const std::string& path);
-  Result<FileInfo> Open(const std::string& path);
+  Status Open(const std::string& path);
   Result<FileInfo> Stat(const std::string& path) const;
   bool Exists(const std::string& path) const;
   std::vector<FileInfo> ListFiles(const std::string& dir_prefix);

@@ -127,7 +127,7 @@ Status NameNode::CreateFile(const std::string& path, int64_t size_bytes,
     ++entry.file_count;
   }
   files_.emplace_hint(hint, path,
-                      FileInfo{path, size_bytes, record_count, clock_->Now()});
+                      FileEntry{size_bytes, record_count, clock_->Now()});
   ++stats_.total_objects;
   ++stats_.file_count;
   ++stats_.create_calls;
@@ -153,7 +153,7 @@ Status NameNode::DeleteFile(const std::string& path) {
   return Status::OK();
 }
 
-Result<FileInfo> NameNode::Open(const std::string& path) {
+Status NameNode::Open(const std::string& path) {
   ++stats_.open_calls;
   const SimTime hour = (clock_->Now() / kHour) * kHour;
   if (hour != open_hour_) {
@@ -195,14 +195,15 @@ Result<FileInfo> NameNode::Open(const std::string& path) {
                       "storage.open_timeout", clock_->Now(),
                       "path=" + path + ";injected=0", p_timeout);
     }
-    return Status::TimedOut("read timeout under NameNode RPC pressure: " +
-                            path);
+    // The path is in the trace instant above; the Status is shared.
+    static const Status kOrganicTimeout =
+        Status::TimedOut("read timeout under NameNode RPC pressure");
+    return kOrganicTimeout;
   }
-  const auto it = files_.find(path);
-  if (it == files_.end()) {
+  if (files_.find(path) == files_.end()) {
     return Status::NotFound("no such file: " + path);
   }
-  return it->second;
+  return Status::OK();
 }
 
 Result<FileInfo> NameNode::Stat(const std::string& path) const {
@@ -210,7 +211,7 @@ Result<FileInfo> NameNode::Stat(const std::string& path) const {
   if (it == files_.end()) {
     return Status::NotFound("no such file: " + path);
   }
-  return it->second;
+  return ToInfo(*it);
 }
 
 bool NameNode::Exists(const std::string& path) const {
@@ -219,7 +220,16 @@ bool NameNode::Exists(const std::string& path) const {
 
 void NameNode::ForEachFile(
     const std::function<void(const FileInfo&)>& fn) const {
-  for (const auto& [path, info] : files_) fn(info);
+  // One FileInfo reused across the walk: assigning the path reuses its
+  // buffer, so the audit does not allocate per file.
+  FileInfo info;
+  for (const auto& [path, entry] : files_) {
+    info.path.assign(path);
+    info.size_bytes = entry.size_bytes;
+    info.record_count = entry.record_count;
+    info.created_at = entry.created_at;
+    fn(info);
+  }
 }
 
 Status NameNode::AuditAccounting() const {
@@ -242,7 +252,8 @@ Status NameNode::AuditAccounting() const {
   // contained dirs via the parent links of every existing directory.
   std::vector<int64_t> file_recount(dir_meta_.size(), 0);
   std::vector<int64_t> dir_recount(dir_meta_.size(), 0);
-  for (const auto& [path, info] : files_) {
+  for (const auto& file : files_) {
+    const std::string& path = file.first;
     for (const auto& dir : ParentDirs(path)) {
       const auto id = dir_ids_.Lookup(dir);
       if (id == common::StringInterner::kInvalidId ||
@@ -292,7 +303,7 @@ std::vector<FileInfo> NameNode::ListFiles(const std::string& dir_prefix) {
   for (auto it = files_.lower_bound(prefix);
        it != files_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
        ++it) {
-    out.push_back(it->second);
+    out.push_back(ToInfo(*it));
   }
   ++stats_.list_calls;
   CountRpc(1 + static_cast<int64_t>(out.size()) / 1000);
@@ -358,7 +369,6 @@ void NameNode::SaveState(common::BlobWriter* w) const {
 
   w->WriteU64(files_.size());
   for (const auto& [path, info] : files_) {
-    // info.path == map key; stored once.
     w->WriteString(path);
     w->WriteI64(info.size_bytes);
     w->WriteI64(info.record_count);
@@ -417,13 +427,12 @@ Status NameNode::RestoreState(common::BlobReader* r) {
 
   const uint64_t file_count = r->ReadU64();
   for (uint64_t i = 0; i < file_count; ++i) {
-    FileInfo info;
-    info.path = r->ReadString();
-    info.size_bytes = r->ReadI64();
-    info.record_count = r->ReadI64();
-    info.created_at = r->ReadI64();
-    std::string key = info.path;
-    files_.emplace(std::move(key), std::move(info));
+    std::string path = r->ReadString();
+    FileEntry entry;
+    entry.size_bytes = r->ReadI64();
+    entry.record_count = r->ReadI64();
+    entry.created_at = r->ReadI64();
+    files_.emplace_hint(files_.end(), std::move(path), entry);
   }
 
   const int64_t dir_count = r->ReadI64();

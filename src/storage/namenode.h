@@ -104,7 +104,12 @@ class NameNode {
   Status DeleteFile(const std::string& path);
 
   /// Read-opens a file: counts an open() RPC and may time out under load.
-  Result<FileInfo> Open(const std::string& path);
+  /// Returns only the outcome (OK, TimedOut, NotFound): readers already
+  /// hold the file's metadata from the table's manifests. Organic
+  /// timeouts share one preconstructed Status, so a timeout storm costs
+  /// no allocation per draw; the `storage.open_timeout` trace instant
+  /// still names the path.
+  Status Open(const std::string& path);
 
   /// Metadata lookup without the timeout model (planner-side access).
   Result<FileInfo> Stat(const std::string& path) const;
@@ -197,6 +202,20 @@ class NameNode {
     int64_t quota = 0;       // max objects for the subtree, 0 = none
   };
 
+  /// What the namespace stores per file: the path lives once, as the map
+  /// key, and FileInfo is assembled from key + entry when returned.
+  struct FileEntry {
+    int64_t size_bytes = 0;
+    int64_t record_count = 0;
+    SimTime created_at = 0;
+  };
+  using FileMap = std::map<std::string, FileEntry>;
+
+  static FileInfo ToInfo(const FileMap::value_type& file) {
+    return FileInfo{file.first, file.second.size_bytes,
+                    file.second.record_count, file.second.created_at};
+  }
+
   void CountRpc(int64_t n = 1);
   /// Interns `dir` and every ancestor (no accounting side effects) and
   /// returns its id. Parent links are populated on first intern.
@@ -213,7 +232,8 @@ class NameNode {
   const EpochLoadView* epoch_load_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
-  std::map<std::string, FileInfo> files_;
+  /// Ordered by path: SaveState writes files in this order.
+  FileMap files_;
   common::StringInterner dir_ids_;
   std::vector<DirEntry> dir_meta_;   // indexed by interned dir id
   int64_t existing_dir_count_ = 0;   // dirs with exists == true

@@ -3,12 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "catalog/control_plane.h"
+#include "common/blob.h"
 #include "common/clock.h"
 #include "common/counter_rng.h"
+#include "common/random.h"
 #include "engine/cluster.h"
 #include "engine/compaction_runner.h"
 #include "engine/query_engine.h"
@@ -103,6 +111,142 @@ TEST(ClusterTest, ResetFreesSlots) {
   cluster.Reset();
   const TaskBagResult r = cluster.RunTasks(10, {1.0});
   EXPECT_EQ(r.end_time, 11);
+}
+
+// Reference placement by linear scan: every task scans all slots for the
+// smallest free time, the first index winning ties. Cluster's slot heap
+// must reproduce it pick for pick.
+class LinearScanCluster {
+ public:
+  LinearScanCluster(const ClusterOptions& options, const Clock* clock)
+      : options_(options),
+        clock_(clock),
+        slot_free_at_(static_cast<size_t>(options.executors *
+                                          options.cores_per_executor),
+                      0.0) {}
+
+  TaskBagResult RunTasks(SimTime submit_time,
+                         const std::vector<double>& task_seconds) {
+    TaskBagResult result;
+    result.start_time = submit_time;
+    result.end_time = submit_time;
+    if (task_seconds.empty()) return result;
+    std::vector<double> tasks = task_seconds;
+    std::sort(tasks.begin(), tasks.end(), std::greater<double>());
+    const double submit = static_cast<double>(submit_time);
+    double first_start = std::numeric_limits<double>::max();
+    double last_end = submit;
+    for (double duration : tasks) {
+      duration = std::max(0.0, duration);
+      size_t best = 0;
+      for (size_t i = 1; i < slot_free_at_.size(); ++i) {
+        if (slot_free_at_[i] < slot_free_at_[best]) best = i;
+      }
+      const double start = std::max(submit, slot_free_at_[best]);
+      result.queue_wait_seconds += start - submit;
+      const double end = start + duration;
+      slot_free_at_[best] = end;
+      result.busy_seconds += duration;
+      first_start = std::min(first_start, start);
+      last_end = std::max(last_end, end);
+    }
+    result.start_time = static_cast<SimTime>(std::llround(first_start));
+    result.end_time = static_cast<SimTime>(std::llround(std::ceil(last_end)));
+    total_busy_seconds_ += result.busy_seconds;
+    total_gb_hours_ += options_.executor_memory_gb /
+                       options_.cores_per_executor * result.busy_seconds /
+                       3600.0;
+    return result;
+  }
+
+  void Reset() {
+    std::fill(slot_free_at_.begin(), slot_free_at_.end(),
+              static_cast<double>(clock_->Now()));
+  }
+
+  /// Same layout as Cluster::SaveState.
+  std::string SaveState() const {
+    common::BlobWriter w;
+    w.WriteU64(slot_free_at_.size());
+    for (double t : slot_free_at_) w.WriteF64(t);
+    w.WriteF64(total_gb_hours_);
+    w.WriteF64(total_busy_seconds_);
+    return w.Take();
+  }
+
+ private:
+  ClusterOptions options_;
+  const Clock* clock_;
+  std::vector<double> slot_free_at_;
+  double total_gb_hours_ = 0;
+  double total_busy_seconds_ = 0;
+};
+
+std::string SavedState(const Cluster& cluster) {
+  common::BlobWriter w;
+  cluster.SaveState(&w);
+  return w.Take();
+}
+
+TEST(ClusterTest, HeapPlacementMatchesLinearScan) {
+  Rng rng(20251020);
+  for (int round = 0; round < 40; ++round) {
+    SimulatedClock clock(0);
+    ClusterOptions opts;
+    opts.executors = static_cast<int>(rng.UniformInt(1, 6));
+    opts.cores_per_executor = static_cast<int>(rng.UniformInt(1, 8));
+    Cluster heap("c", opts, &clock);
+    LinearScanCluster linear(opts, &clock);
+    SimTime now = 0;
+    for (int bag = 0; bag < 60; ++bag) {
+      // Submits land both before the busy slots free up (queueing) and
+      // after them (idle slots); some repeat the previous instant.
+      now += rng.UniformInt(0, 3) == 0 ? 0 : rng.UniformInt(0, 400);
+      const SimTime submit =
+          rng.Bernoulli(0.2) ? std::max<SimTime>(0, now - 200) : now;
+      std::vector<double> tasks(static_cast<size_t>(rng.UniformInt(0, 30)));
+      for (double& t : tasks) {
+        switch (rng.UniformInt(0, 4)) {
+          case 0:
+            t = 0.0;  // free slots keep equal free times
+            break;
+          case 1:
+            t = -rng.Uniform(0, 50);  // clamped to zero
+            break;
+          case 2:
+            t = 10.0;  // equal durations, equal free times
+            break;
+          default:
+            t = rng.Uniform(0, 300);
+        }
+      }
+      if (rng.UniformInt(0, 25) == 0) {
+        clock.AdvanceTo(now);
+        heap.Reset();  // every slot frees at the same instant
+        linear.Reset();
+      }
+      const TaskBagResult got = heap.RunTasks(submit, tasks);
+      const TaskBagResult want = linear.RunTasks(submit, tasks);
+      ASSERT_EQ(got.start_time, want.start_time) << round << "/" << bag;
+      ASSERT_EQ(got.end_time, want.end_time) << round << "/" << bag;
+      ASSERT_EQ(got.queue_wait_seconds, want.queue_wait_seconds)
+          << round << "/" << bag;
+      ASSERT_EQ(got.busy_seconds, want.busy_seconds) << round << "/" << bag;
+      ASSERT_EQ(SavedState(heap), linear.SaveState()) << round << "/" << bag;
+    }
+    // A restored cluster rebuilds its heap from the slot times and keeps
+    // placing like the original.
+    Cluster restored("c", opts, &clock);
+    const std::string blob = SavedState(heap);
+    common::BlobReader reader(blob);
+    restored.RestoreState(&reader);
+    const std::vector<double> tail = {5.0, 0.0, 5.0, 120.0};
+    const TaskBagResult a = restored.RunTasks(now, tail);
+    const TaskBagResult b = linear.RunTasks(now, tail);
+    EXPECT_EQ(a.end_time, b.end_time);
+    EXPECT_EQ(a.queue_wait_seconds, b.queue_wait_seconds);
+    EXPECT_EQ(SavedState(restored), linear.SaveState());
+  }
 }
 
 // ----------------------------------------------------------- WritePlanner
@@ -584,7 +728,8 @@ TEST_F(FaultedCompactionFixture, InjectedValidationAbortIsTerminal) {
   request.table = "db.t";
   auto pending = runner_.Prepare(request, kHour);
   ASSERT_TRUE(pending.ok() && pending->result.attempted);
-  const std::vector<lst::DataFile> outputs = pending->outputs;
+  const std::vector<lst::DataFile> outputs =
+      pending->transaction.added_files();
   ASSERT_FALSE(outputs.empty());
 
   const CompactionResult result = runner_.Finalize(std::move(pending).value());

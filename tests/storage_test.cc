@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/clock.h"
+#include "obs/trace.h"
 #include "storage/filesystem.h"
 #include "storage/namenode.h"
 
@@ -114,7 +118,7 @@ TEST_F(NameNodeTest, OpenCountsCallsPerHour) {
 }
 
 TEST_F(NameNodeTest, OpenMissingIsNotFound) {
-  EXPECT_TRUE(nn_.Open("/ghost").status().IsNotFound());
+  EXPECT_TRUE(nn_.Open("/ghost").IsNotFound());
 }
 
 TEST(NameNodeTimeoutTest, NoTimeoutsBelowCapacity) {
@@ -145,6 +149,42 @@ TEST(NameNodeTimeoutTest, OverloadCausesTimeouts) {
   EXPECT_GT(timeouts, 100);  // heavily overloaded
   EXPECT_GT(nn.CurrentTimeoutProbability(), 0.0);
   EXPECT_LE(nn.CurrentTimeoutProbability(), 0.5);
+}
+
+TEST(NameNodeTimeoutTest, OrganicTimeoutIsTimedOutAndTracedWithPath) {
+  SimulatedClock clock(0);
+  NameNodeOptions opts;
+  opts.rpc_capacity_per_hour = 1;  // the create alone overloads the hour
+  opts.overload_factor = 1.0;
+  opts.max_timeout_probability = 1.0;
+  NameNode nn(&clock, opts);
+  obs::TraceRecorder::Options trace_options;
+  trace_options.level = obs::TraceLevel::kFull;
+  obs::TraceRecorder trace(trace_options);
+  nn.SetTraceRecorder(&trace);
+  ASSERT_TRUE(nn.CreateFile("/a/f.parquet", 1, 1).ok());
+  ASSERT_TRUE(nn.CreateFile("/a/g.parquet", 1, 1).ok());
+
+  const Status first = nn.Open("/a/f.parquet");
+  const Status second = nn.Open("/a/g.parquet");
+  EXPECT_TRUE(first.IsTimedOut()) << first;
+  EXPECT_TRUE(second.IsTimedOut()) << second;
+  EXPECT_EQ(nn.stats().timeouts, 2);
+  // The timeout draw precedes the existence check: a missing file times
+  // out too.
+  EXPECT_TRUE(nn.Open("/ghost").IsTimedOut());
+
+  if (!trace.enabled(obs::TraceLevel::kFull)) return;  // tracing compiled out
+  std::vector<std::string> details;
+  for (const obs::TraceEvent& e : trace.Events()) {
+    if (std::string(e.name) == "storage.open_timeout") {
+      details.push_back(e.detail);
+    }
+  }
+  ASSERT_EQ(details.size(), 3u);
+  EXPECT_EQ(details[0], "path=/a/f.parquet;injected=0");
+  EXPECT_EQ(details[1], "path=/a/g.parquet;injected=0");
+  EXPECT_EQ(details[2], "path=/ghost;injected=0");
 }
 
 TEST(NameNodeTimeoutTest, TimeoutProbabilityCapped) {

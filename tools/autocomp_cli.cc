@@ -108,6 +108,9 @@ struct Flags {
   std::string trace_out;
   /// Prometheus text metrics output path ("" = no export).
   std::string metrics_out;
+  /// The first fleetsim-only flag given ("" = none): cab and fleet refuse
+  /// it rather than run as if it were absent.
+  std::string fleetsim_only_flag;
 };
 
 void PrintUsage() {
@@ -225,6 +228,9 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
       return nullptr;
     };
+    auto fleetsim_only = [&](const char* name) {
+      if (flags->fleetsim_only_flag.empty()) flags->fleetsim_only_flag = name;
+    };
     if (const char* v = value_of("--strategy")) {
       flags->strategy = v;
     } else if (const char* v = value_of("--policy")) {
@@ -244,12 +250,16 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (const char* v = value_of("--pool-size")) {
       flags->pool_size = std::atoi(v);
     } else if (const char* v = value_of("--sim-shards")) {
+      fleetsim_only("--sim-shards");
       flags->sim_shards = std::atoi(v);
     } else if (const char* v = value_of("--lane-mode")) {
+      fleetsim_only("--lane-mode");
       flags->lane_mode = v;
     } else if (const char* v = value_of("--max-resident-lanes")) {
+      fleetsim_only("--max-resident-lanes");
       flags->max_resident_lanes = std::atoll(v);
     } else if (const char* v = value_of("--evict-after-idle-hours")) {
+      fleetsim_only("--evict-after-idle-hours");
       flags->evict_after_idle_hours = std::atoi(v);
     } else if (const char* v = value_of("--scheduler")) {
       flags->scheduler = v;
@@ -274,6 +284,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--check-invariants") {
       flags->check_invariants = true;
     } else if (arg == "--no-sharded-sim") {
+      fleetsim_only("--no-sharded-sim");
       flags->sharded_sim = false;
     } else if (arg == "--no-deferred") {
       flags->deferred = false;
@@ -845,6 +856,11 @@ int main(int argc, char** argv) {
   Flags flags;
   if (!ParseFlags(argc, argv, &flags)) {
     PrintUsage();
+    return 2;
+  }
+  if (flags.scenario != "fleetsim" && !flags.fleetsim_only_flag.empty()) {
+    std::fprintf(stderr, "%s applies to fleetsim only, not %s\n",
+                 flags.fleetsim_only_flag.c_str(), flags.scenario.c_str());
     return 2;
   }
   if (flags.strategy != "none" && !ScopeFor(flags.strategy).ok()) {

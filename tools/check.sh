@@ -169,6 +169,9 @@ run cmake --build build -j "${JOBS}"
 run ctest --test-dir build --output-on-failure -j "${JOBS}"
 
 # --- Concurrency + fault + policy + sched suites under ASan+UBSan.
+# The alloc label stays out of both sanitizer selections: its suite
+# counts heap allocations through a replaced operator new, and sanitizer
+# runtimes replace operator new themselves.
 run cmake -B build-asan -S . -DAUTOCOMP_SANITIZE=address \
     -DAUTOCOMP_BUILD_BENCHMARKS=OFF -DAUTOCOMP_BUILD_EXAMPLES=OFF
 run cmake --build build-asan -j "${JOBS}"
