@@ -10,11 +10,18 @@
 /// above hardware_concurrency are skipped and annotated as invalid:
 /// oversubscribed pools on a starved host measure scheduler noise, not
 /// speedup. Results land in BENCH_pipeline.json:
-///   {"fleet_tables": N, "hardware_concurrency": H, "runs": [
+///   {"fleet_tables": N, "hardware_concurrency": H,
+///    "host": {"hardware_concurrency": H, "effective_parallelism": E},
+///    "runs": [
 ///      {"name": "...", "pool_size": P, "indexed": false,
+///       "wider_than_hardware_concurrency": false,
+///       "wider_than_effective_parallelism": false,
 ///       "cold_ms": ..., "best_ms": ..., "tables_per_sec": ...,
 ///       "speedup_vs_seq": ..., "speedup_vs_cold_seq": ...,
 ///       "index_hit_rate": ...}, ...]}
+/// The wider_than_* flags ride on pool rows only; a row wider than the
+/// host's effective parallelism (benchmarks/host_probe.h) still runs, but
+/// its speedup measures contention with the host's other load.
 ///
 /// speedup_vs_seq compares steady-state best runs; speedup_vs_cold_seq
 /// compares against the cold seq rescan (run 0, no warm allocator or
@@ -26,9 +33,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "benchmarks/host_probe.h"
 #include "catalog/catalog.h"
 #include "catalog/control_plane.h"
 #include "common/clock.h"
@@ -204,7 +211,8 @@ int main() {
   catalog::Catalog catalog(&clock, &dfs);
   catalog::ControlPlane control_plane(&catalog);
   Rng rng(7);
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const bench::HostParallelism host = bench::ProbeHostParallelism();
+  const int hw = host.hardware_concurrency;
   // CI boxes often report 1-2 cores; with AUTOCOMP_BENCH_FORCE_POOLS=1
   // the oversubscribed pool configs still *run* (exercising the parallel
   // code paths and the NFR2 fingerprint check) even though their timings
@@ -213,8 +221,9 @@ int main() {
   const bool force_pools =
       force_env != nullptr && std::strcmp(force_env, "0") != 0 &&
       force_env[0] != '\0';
-  std::printf("hardware_concurrency = %d%s\n", hw,
-              force_pools ? " (AUTOCOMP_BENCH_FORCE_POOLS set)" : "");
+  std::printf("hardware_concurrency = %d%s, effective_parallelism = %.2f\n",
+              hw, force_pools ? " (AUTOCOMP_BENCH_FORCE_POOLS set)" : "",
+              host.effective_parallelism);
   if (hw <= 1 && !force_pools) {
     std::printf(
         "NOTE: single-core host — multi-worker pool runs would measure "
@@ -299,6 +308,7 @@ int main() {
     entry.Set("name", r.name);
     entry.Set("pool_size", r.pool_size);
     entry.Set("indexed", r.indexed);
+    if (r.pool_size > 0) host.FlagPoolRow(r.pool_size, &entry);
     if (r.skipped) {
       entry.Set("skipped", true);
       entry.Set("skip_reason", r.skip_reason);
@@ -313,10 +323,14 @@ int main() {
     json_runs.Append(std::move(entry));
   }
   std::printf("%s", table.ToString().c_str());
+  for (const RunResult& r : runs) {
+    if (!r.skipped) host.NoteIfOversubscribed(r.name, r.pool_size);
+  }
 
   JsonValue doc = JsonValue::Object();
   doc.Set("fleet_tables", kFleetTables);
   doc.Set("hardware_concurrency", hw);
+  doc.Set("host", host.ToJson());
   doc.Set("force_pools", force_pools);
   doc.Set("runs", std::move(json_runs));
   std::FILE* out = std::fopen("BENCH_pipeline.json", "w");

@@ -36,7 +36,11 @@
 /// configs wider than hardware_concurrency are skipped (their "speedup"
 /// measures oversubscription, not parallelism) unless
 /// AUTOCOMP_BENCH_FORCE_POOLS=1 — the same discipline as
-/// bench_pipeline_throughput.
+/// bench_pipeline_throughput. The host's effective parallelism
+/// (benchmarks/host_probe.h) is probed first; every pool row, scale
+/// configs included, carries wider_than_hardware_concurrency and
+/// wider_than_effective_parallelism flags, and a run row wider than
+/// either is noted under the table.
 ///
 /// A "seq-eager" run (LaneMode::kAdvanceAll) prices the lazy driver
 /// against the historical hydrate-everything/advance-everything path at
@@ -74,6 +78,7 @@
 ///
 /// Results land in BENCH_sim.json:
 ///   {"fleet_tables": N, "days": D, "hardware_concurrency": H,
+///    "host": {"hardware_concurrency": H, "effective_parallelism": E},
 ///    "force_pools": B, "runs": [
 ///      {"name": "seq", "shards": 0, "pool_workers": 0, "wall_ms": ...,
 ///       "events": ..., "events_per_sec": ..., "speedup_vs_seq": 1.0,
@@ -100,7 +105,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if defined(__unix__)
@@ -109,6 +113,7 @@
 #include <unistd.h>
 #endif
 
+#include "benchmarks/host_probe.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -725,13 +730,15 @@ ScaleOutcome RunScaleConfig(const std::string& name, int tables, int shards,
 
 int main() {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);  // live progress when piped
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const bench::HostParallelism host = bench::ProbeHostParallelism();
+  const int hw = host.hardware_concurrency;
   const char* force_env = std::getenv("AUTOCOMP_BENCH_FORCE_POOLS");
   const bool force_pools =
       force_env != nullptr && std::strcmp(force_env, "0") != 0 &&
       force_env[0] != '\0';
-  std::printf("hardware_concurrency = %d%s\n", hw,
-              force_pools ? " (AUTOCOMP_BENCH_FORCE_POOLS set)" : "");
+  std::printf("hardware_concurrency = %d%s, effective_parallelism = %.2f\n",
+              hw, force_pools ? " (AUTOCOMP_BENCH_FORCE_POOLS set)" : "",
+              host.effective_parallelism);
 
   // --- Scale tier replays run FIRST, while this process is still small:
   // each config forks a child whose wait4 ru_maxrss is that replay's own
@@ -883,6 +890,7 @@ int main() {
     entry.Set("name", r.name);
     entry.Set("shards", r.shards);
     entry.Set("pool_workers", r.pool_workers);
+    if (r.pool_workers > 0) host.FlagPoolRow(r.pool_workers, &entry);
     if (r.skipped) {
       entry.Set("skipped", true);
       entry.Set("skip_reason", r.skip_reason);
@@ -898,6 +906,9 @@ int main() {
   for (const RunOutcome& r : runs) add_run_row(r);
   add_run_row(eager);
   std::printf("%s", table.ToString().c_str());
+  for (const RunOutcome& r : runs) {
+    if (!r.skipped) host.NoteIfOversubscribed(r.name, r.pool_workers);
+  }
   std::printf("lazy (active-lane) speedup vs eager advance-all: %.2fx\n",
               lazy_speedup_vs_eager);
 
@@ -1177,11 +1188,12 @@ int main() {
         static_cast<long long>(sseq.lanes_total));
 
     JsonValue scale_configs = JsonValue::Array();
-    auto scale_entry = [](const ScaleOutcome& r, bool is_ref) {
+    auto scale_entry = [&host](const ScaleOutcome& r, bool is_ref) {
       JsonValue entry = JsonValue::Object();
       entry.Set("name", r.name);
       entry.Set("shards", r.shards);
       entry.Set("pool_workers", r.pool_workers);
+      if (r.pool_workers > 0) host.FlagPoolRow(r.pool_workers, &entry);
       entry.Set("wall_ms", r.wall_ms);
       entry.Set("setup_ms", r.setup_ms);
       entry.Set("events", r.events);
@@ -1298,6 +1310,7 @@ int main() {
   doc.Set("fleet_tables", kDatabases * kTablesPerDb);
   doc.Set("days", kDays);
   doc.Set("hardware_concurrency", hw);
+  doc.Set("host", host.ToJson());
   doc.Set("force_pools", force_pools);
   doc.Set("runs", std::move(json_runs));
   std::FILE* out = std::fopen("BENCH_sim.json", "w");

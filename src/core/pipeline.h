@@ -51,7 +51,8 @@ struct PipelineRunReport {
   int64_t candidates_generated = 0;
   int64_t dropped_pre_orient = 0;
   int64_t dropped_post_orient = 0;
-  /// Decide output (full ranking, before selection).
+  /// Decide output (full ranking, before selection). Empty in the
+  /// entries of AutoCompService::history(), which keep only `selected`.
   std::vector<ScoredCandidate> ranked;
   /// The selected work list handed to the act phase.
   std::vector<ScoredCandidate> selected;

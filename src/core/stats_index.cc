@@ -79,6 +79,17 @@ int IncrementalStatsIndex::SizeBucket(int64_t size_bytes) {
   return bucket < kHistogramBuckets ? bucket : kHistogramBuckets - 1;
 }
 
+int64_t IncrementalStatsIndex::LastReplaceSnapshot(
+    const lst::TableMetadata& meta) {
+  int64_t last_replace = 0;
+  for (const lst::Snapshot& s : meta.snapshots()) {
+    if (s.operation == lst::SnapshotOperation::kReplace) {
+      last_replace = std::max(last_replace, s.snapshot_id);
+    }
+  }
+  return last_replace;
+}
+
 void IncrementalStatsIndex::RebuildLocked(
     TableEntry* entry, const lst::TableMetadata& meta) const {
   entry->live.Clear();
@@ -86,13 +97,9 @@ void IncrementalStatsIndex::RebuildLocked(
   entry->histogram_count.fill(0);
   entry->histogram_bytes.fill(0);
 
-  int64_t last_replace = 0;
-  for (const lst::Snapshot& s : meta.snapshots()) {
-    if (s.operation == lst::SnapshotOperation::kReplace) {
-      last_replace = std::max(last_replace, s.snapshot_id);
-    }
-  }
+  const int64_t last_replace = LastReplaceSnapshot(meta);
   entry->last_replace_snapshot_id = last_replace;
+  entry->current_snapshot_id = meta.current_snapshot_id();
 
   // One manifest walk over the SoA columns; vectors fill unsorted and
   // are sorted once at the end (cheaper than per-file sorted insertion
@@ -210,6 +217,7 @@ void IncrementalStatsIndex::ApplyDeltaLocked(
     entry->histogram_bytes[bucket] += f.file_size_bytes;
   }
 
+  entry->current_snapshot_id = meta.current_snapshot_id();
   entry->version = meta.version();
   deltas_applied_.fetch_add(1);
 }
@@ -258,12 +266,24 @@ void IncrementalStatsIndex::OnCommit(const catalog::CommitEvent& event) const {
     stale_events_.fetch_add(1);
     return;
   }
-  if (event.delta != nullptr && event.delta->known &&
-      committed_version == entry.version + 1) {
-    ApplyDeltaLocked(&entry, *event.metadata, *event.delta);
-    return;
+  if (committed_version == entry.version + 1) {
+    if (event.delta != nullptr && event.delta->known) {
+      ApplyDeltaLocked(&entry, *event.metadata, *event.delta);
+      return;
+    }
+    // Delta-less commit (snapshot expiry, rollback). The live view
+    // depends only on the current snapshot, the fresh view also on the
+    // replace watermark; when neither moved (an expiry that keeps the
+    // last replace snapshot), only the version advances. O(snapshots).
+    if (event.metadata->current_snapshot_id() == entry.current_snapshot_id &&
+        LastReplaceSnapshot(*event.metadata) ==
+            entry.last_replace_snapshot_id) {
+      entry.version = committed_version;
+      return;
+    }
   }
-  // Delta-less commit (expiry, rollback) or a gap in the event stream.
+  // The current snapshot or the watermark moved, or a gap in the event
+  // stream.
   rebuilds_.fetch_add(1);
   RebuildLocked(&entry, *event.metadata);
 }

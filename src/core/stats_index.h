@@ -20,9 +20,12 @@
 ///    generator's watermark.
 ///
 /// Commits carrying a lst::CommitDelta apply O(delta) updates under
-/// sharded locks; delta-less commits (snapshot expiry, rollback) and
-/// out-of-order listener delivery degrade to a full single-table rebuild
-/// from the event's metadata. Entries build lazily on first query.
+/// sharded locks. A delta-less commit (snapshot expiry, rollback) that
+/// keeps the current snapshot and the replace watermark only advances
+/// the entry's version, in O(snapshots); one that moves either, and
+/// out-of-order listener delivery, degrade to a full single-table
+/// rebuild from the event's metadata. Entries build lazily on first
+/// query.
 ///
 /// Hot-path representation: tables and partitions are keyed by interned
 /// ids (common::StringInterner), and rebuilds stream the manifests' SoA
@@ -156,6 +159,10 @@ class IncrementalStatsIndex {
     /// Metadata version the aggregates describe; the staleness key.
     int64_t version = -1;
     int64_t last_replace_snapshot_id = 0;
+    /// Current snapshot of that version (0 = none); with the watermark,
+    /// tells a delta-less commit that kept both apart from one that
+    /// needs a rebuild.
+    int64_t current_snapshot_id = 0;
     /// Partition-key arena for this table's ScopeViews. Never reset:
     /// ids of vanished partitions simply go unused.
     common::StringInterner partition_names;
@@ -177,6 +184,8 @@ class IncrementalStatsIndex {
 
   Shard& ShardFor(common::TableId table) const;
   static int SizeBucket(int64_t size_bytes);
+  /// Highest snapshot id of a kReplace snapshot in `meta` (0 = none).
+  static int64_t LastReplaceSnapshot(const lst::TableMetadata& meta);
 
   /// Repopulates `entry` from a full walk of `meta`'s live files.
   void RebuildLocked(TableEntry* entry, const lst::TableMetadata& meta) const;

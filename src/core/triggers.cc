@@ -86,7 +86,15 @@ Result<PipelineRunReport> AutoCompService::RunNow() {
        hook_->mode() == OptimizeAfterWriteHook::Mode::kNotify)
           ? pipeline_->RunForCandidates(hook_->DrainNotifications())
           : pipeline_->RunOnce();
-  if (report.ok()) history_.push_back(*report);
+  if (report.ok()) {
+    // The history entry is the report minus its ranking, which holds
+    // every candidate's stats and would grow the service by the size of
+    // the fleet on every run. The ranking is moved aside for the copy
+    // and handed back to the caller intact.
+    std::vector<ScoredCandidate> ranked = std::move(report->ranked);
+    history_.push_back(*report);
+    report->ranked = std::move(ranked);
+  }
   return report;
 }
 

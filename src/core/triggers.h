@@ -196,7 +196,11 @@ class AutoCompService {
   AutoCompPipeline* pipeline() { return pipeline_.get(); }
   const PeriodicTrigger& trigger() const { return trigger_; }
 
-  /// History of all runs, for reporting.
+  /// One entry per run, for reporting: counts, `selected`, `executed`,
+  /// `feedback`, timings and stats-index traffic. Entries carry no
+  /// ranking (`ranked` is empty), so the history grows with the number
+  /// of runs, not with the fleet; the full ranking is in the report
+  /// RunNow/Tick return and in the trace's "decide.ranked" instants.
   const std::vector<PipelineRunReport>& history() const { return history_; }
 
  private:

@@ -801,6 +801,118 @@ TEST_F(CoreFixture, ServiceTicksOnSchedule) {
   EXPECT_FALSE(not_due->has_value());
 }
 
+// The service history grows with the number of runs, not with the fleet:
+// each entry equals the report RunNow returned, minus its ranking.
+TEST_F(CoreFixture, ServiceHistoryKeepsNoRanking) {
+  MakePartitionedTable("p");
+  MakePartitionedTable("q");
+  MakeUnpartitionedTable("u");
+  AutoCompPipeline::Stages stages;
+  stages.generator = std::make_shared<HybridScopeGenerator>();
+  stages.collector = std::make_shared<StatsCollector>(
+      &catalog_, &control_plane_, &clock_);
+  stages.pre_orient_filters = {std::make_shared<MinSmallFilesFilter>(2)};
+  stages.traits = {std::make_shared<FileCountReductionTrait>(),
+                   std::make_shared<ComputeCostTrait>(192, kTiB)};
+  stages.post_orient_filters = {std::make_shared<PredicateFilter>(
+      "not_u", [](const ObservedCandidate& c, SimTime) {
+        return c.candidate.table != "db.u";
+      })};
+  stages.ranker = std::make_shared<MoopRanker>(MoopRanker::PaperDefault());
+  stages.selector = std::make_shared<FixedKSelector>(1);
+  stages.scheduler = std::make_shared<SerialScheduler>(&runner_,
+                                                       &control_plane_);
+  auto pipeline = std::make_unique<AutoCompPipeline>(std::move(stages),
+                                                     &catalog_, &clock_);
+  AutoCompService service(std::move(pipeline), PeriodicTrigger(kHour, kHour));
+
+  const std::vector<std::string> tables = {"db.p", "db.q", "db.u"};
+  const std::vector<std::string> months = {"m=2024-01", "m=2024-02",
+                                           "m=2024-03"};
+  int64_t ranked_total = 0, selected_total = 0, dropped_pre = 0,
+          dropped_post = 0, committed = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    for (const std::string& table : tables) {
+      FragmentTable(
+          table,
+          table == "db.u"
+              ? std::vector<std::string>{}
+              : std::vector<std::string>{months[cycle % months.size()]},
+          8 * kMiB);
+    }
+    clock_.Advance(kHour);
+    auto report = service.RunNow();
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(service.history().size(), static_cast<size_t>(cycle + 1));
+    const PipelineRunReport& stored = service.history().back();
+
+    EXPECT_EQ(static_cast<int64_t>(report->ranked.size()),
+              report->candidates_generated - report->dropped_pre_orient -
+                  report->dropped_post_orient);
+    EXPECT_TRUE(stored.ranked.empty()) << "cycle " << cycle;
+    EXPECT_EQ(stored.started_at, report->started_at);
+    EXPECT_EQ(stored.candidates_generated, report->candidates_generated);
+    EXPECT_EQ(stored.dropped_pre_orient, report->dropped_pre_orient);
+    EXPECT_EQ(stored.dropped_post_orient, report->dropped_post_orient);
+    EXPECT_EQ(stored.stats_index_hits, report->stats_index_hits);
+    EXPECT_EQ(stored.stats_index_fallbacks, report->stats_index_fallbacks);
+    ASSERT_EQ(stored.selected.size(), report->selected.size());
+    for (size_t i = 0; i < stored.selected.size(); ++i) {
+      EXPECT_EQ(stored.selected[i].candidate().id(),
+                report->selected[i].candidate().id());
+      EXPECT_EQ(stored.selected[i].score, report->selected[i].score);
+    }
+    ASSERT_EQ(stored.executed.size(), report->executed.size());
+    for (size_t i = 0; i < stored.executed.size(); ++i) {
+      const engine::CompactionResult& a = stored.executed[i].result;
+      const engine::CompactionResult& b = report->executed[i].result;
+      EXPECT_EQ(stored.executed[i].candidate.id(),
+                report->executed[i].candidate.id());
+      EXPECT_EQ(a.committed, b.committed);
+      EXPECT_EQ(a.files_rewritten, b.files_rewritten);
+      EXPECT_EQ(a.files_produced, b.files_produced);
+      EXPECT_EQ(a.bytes_rewritten, b.bytes_rewritten);
+      EXPECT_EQ(a.gb_hours, b.gb_hours);
+      EXPECT_EQ(a.end_time, b.end_time);
+    }
+    ASSERT_EQ(stored.feedback.size(), report->feedback.size());
+    for (size_t i = 0; i < stored.feedback.size(); ++i) {
+      const FeedbackEntry& a = stored.feedback[i];
+      const FeedbackEntry& b = report->feedback[i];
+      EXPECT_EQ(a.candidate_id, b.candidate_id);
+      EXPECT_EQ(a.estimated_file_reduction, b.estimated_file_reduction);
+      EXPECT_EQ(a.actual_file_reduction, b.actual_file_reduction);
+      EXPECT_EQ(a.estimated_gb_hours, b.estimated_gb_hours);
+      EXPECT_EQ(a.actual_gb_hours, b.actual_gb_hours);
+    }
+    EXPECT_EQ(stored.timings.generate_ms, report->timings.generate_ms);
+    EXPECT_EQ(stored.timings.observe_ms, report->timings.observe_ms);
+    EXPECT_EQ(stored.timings.orient_ms, report->timings.orient_ms);
+    EXPECT_EQ(stored.timings.decide_ms, report->timings.decide_ms);
+    EXPECT_EQ(stored.timings.act_ms, report->timings.act_ms);
+
+    ranked_total += static_cast<int64_t>(report->ranked.size());
+    selected_total += static_cast<int64_t>(report->selected.size());
+    dropped_pre += report->dropped_pre_orient;
+    dropped_post += report->dropped_post_orient;
+    committed += report->committed_count();
+  }
+
+  // Only the winners stay resident.
+  int64_t retained = 0;
+  for (const PipelineRunReport& entry : service.history()) {
+    retained += static_cast<int64_t>(entry.ranked.size() +
+                                     entry.selected.size());
+  }
+  EXPECT_EQ(retained, selected_total);
+  // The runs exercised every field: rankings longer than the selection,
+  // both filter stages, and committed rewrites.
+  EXPECT_GT(ranked_total, selected_total);
+  EXPECT_GT(dropped_pre, 0);
+  EXPECT_GT(dropped_post, 0);
+  EXPECT_GT(committed, 0);
+}
+
 
 // Field-wise equality of two observed stats; byte-identical is the
 // contract between the sequential, parallel, and indexed paths (NFR2).

@@ -197,17 +197,62 @@ TEST(StatsIndexTest, ScriptedOperationsMatchRescanAfterEveryCommit) {
   }
   h.ExpectAllScopesAgree("db.t");
 
-  // Snapshot expiry commits without a delta; the index must rebuild and
-  // still agree (watermark recomputation included).
+  // Snapshot expiry commits without a delta. History so far: append,
+  // overwrite, replace (the watermark), append, delete.
+  h.clock.Advance(kDay);
+  auto watermark_meta = h.catalog.LoadTable("db.t");
+  ASSERT_TRUE(watermark_meta.ok());
+  const std::optional<int64_t> watermark =
+      h.index->LastReplaceSnapshotId("db.t", *watermark_meta);
+  ASSERT_TRUE(watermark.has_value());
+  ASSERT_GT(*watermark, 0);
+
+  // Expiry that keeps the replace snapshot: the current snapshot and the
+  // watermark stay, so the index only advances its version.
   {
-    h.clock.Advance(kDay);
+    const int64_t rebuilds_before = h.index->rebuilds();
+    auto expired = lst::ExpireSnapshots(&h.catalog, "db.t", &h.clock,
+                                        h.clock.Now() - kHour, 3);
+    ASSERT_TRUE(expired.ok()) << expired.status();
+    ASSERT_EQ(expired->expired_snapshots, 2);
+    EXPECT_EQ(h.index->rebuilds(), rebuilds_before);
+    h.ExpectAllScopesAgree("db.t");
+    EXPECT_EQ(h.index->rebuilds(), rebuilds_before);
+  }
+
+  // Expiry of the last replace snapshot lowers the watermark, so every
+  // live file turns fresh: one rebuild, and the fresh view equals that
+  // of an index built from scratch.
+  {
     const int64_t rebuilds_before = h.index->rebuilds();
     auto expired = lst::ExpireSnapshots(&h.catalog, "db.t", &h.clock,
                                         h.clock.Now() - kHour, 1);
     ASSERT_TRUE(expired.ok()) << expired.status();
     ASSERT_GT(expired->expired_snapshots, 0);
+    EXPECT_EQ(h.index->rebuilds(), rebuilds_before + 1);
+
+    auto meta = h.catalog.LoadTable("db.t");
+    ASSERT_TRUE(meta.ok());
+    core::IncrementalStatsIndex scratch(&h.catalog);
+    const std::optional<int64_t> kept =
+        h.index->LastReplaceSnapshotId("db.t", *meta);
+    ASSERT_TRUE(kept.has_value());
+    EXPECT_LT(*kept, *watermark);
+    EXPECT_EQ(kept, scratch.LastReplaceSnapshotId("db.t", *meta));
+    core::Candidate fresh;
+    fresh.table = "db.t";
+    fresh.scope = core::CandidateScope::kSnapshot;
+    fresh.after_snapshot_id = *kept;
+    const std::optional<core::CandidateStats> got =
+        h.index->TryCollect(fresh, *meta);
+    const std::optional<core::CandidateStats> want =
+        scratch.TryCollect(fresh, *meta);
+    ASSERT_TRUE(got.has_value());
+    ASSERT_TRUE(want.has_value());
+    std::string why;
+    EXPECT_TRUE(core::StatsEquivalent(*got, *want, &why)) << why;
+    EXPECT_EQ(got->file_count, (*meta)->live_file_count());
     h.ExpectAllScopesAgree("db.t");
-    EXPECT_GT(h.index->rebuilds(), rebuilds_before);
   }
 
   // Steady state: repeated collections are index hits, not fallbacks.
